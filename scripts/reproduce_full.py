@@ -14,12 +14,13 @@ Usage:
 
 import argparse
 import json
+import logging
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from spantriplet.data import load_corpus
+from spantriplet.data import atomic_write_text, load_corpus
 from spantriplet.encoder import load_embedding_file
 from spantriplet.model import ModelConfig
 from spantriplet.training import TrainConfig, run_experiment
@@ -50,6 +51,7 @@ def main() -> int:
     parser.add_argument("--epochs", type=int, default=10)
     parser.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2, 3, 4])
     args = parser.parse_args()
+    logging.basicConfig(level=logging.INFO)  # shows the per-epoch progress lines
 
     pretrained = None
     if args.embeddings:
@@ -70,8 +72,8 @@ def main() -> int:
         report = run_experiment(train, dev, test, model_config, train_config,
                                 pretrained_embeddings=pretrained,
                                 out_dir=out_dir, log_progress=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
+        atomic_write_text(os.path.join(out_dir, "report.json"),
+                          json.dumps(report.as_dict(), indent=2) + "\n")
         print(report.render_text())
         summary[dataset] = {"precision": report.mean_precision,
                             "recall": report.mean_recall, "f1": report.mean_f1}

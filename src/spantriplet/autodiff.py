@@ -4,7 +4,9 @@ Everything is float64. Each operation returns a new Tensor holding the
 result plus a closure that routes the output gradient to the inputs;
 ``Tensor.backward()`` replays the closures in reverse topological order.
 The graph is rebuilt on every forward pass, which fits per-sentence
-updates (batch size 1) and keeps no state between examples.
+updates (batch size 1) and keeps no state between examples. Each LSTM
+direction is one op (``lstm``): its input projection is hoisted into one
+GEMM over the sentence and its BPTT backward is written by hand.
 
 Gradients only flow into tensors with ``requires_grad``; a detached input
 never gets a grad buffer allocated.
@@ -45,9 +47,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         if self.grad is None:
@@ -368,13 +367,18 @@ def relu(x: Tensor) -> Tensor:
     return _make(np.maximum(x.data, 0.0), (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic function split by sign so neither branch overflows."""
     s = np.empty_like(d)
     pos = d >= 0
     s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ez = np.exp(d[~pos])
     s[~pos] = ez / (1.0 + ez)
+    return s
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    s = _sigmoid(x.data)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -391,6 +395,82 @@ def tanh(x: Tensor) -> Tensor:
             x._accumulate(g * (1.0 - t * t))
 
     return _make(t, (x,), backward)
+
+
+def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
+         reverse: bool = False) -> Tensor:
+    """One LSTM direction over an (n, E) sequence as a single graph node.
+
+    Gate order along the 4H axis is i, f, g, o, and the states start at
+    zero. With ``reverse`` the recurrence reads the rows from last to first;
+    either way row t of the (n, H) result is the state after reading row t.
+    The input projection ``x @ w_ih + bias`` is one GEMM for the whole
+    sequence (Appleyard et al. 2016). Backward is hand-written BPTT: it fills
+    the (n, 4H) gradient of the gate pre-activations, then forms each weight
+    gradient and the input gradient as one GEMM over it.
+    """
+    if x.ndim != 2 or w_hh.ndim != 2:
+        raise DimensionError(f"lstm: expected 2-D input and w_hh, got {x.shape} and {w_hh.shape}")
+    n, in_dim = x.shape
+    hidden = w_hh.shape[0]
+    if (w_ih.shape != (in_dim, 4 * hidden) or w_hh.shape != (hidden, 4 * hidden)
+            or bias.shape != (4 * hidden,)):
+        raise DimensionError(
+            f"lstm: input {x.shape} with hidden size {hidden} needs w_ih "
+            f"{(in_dim, 4 * hidden)}, w_hh {(hidden, 4 * hidden)} and bias "
+            f"{(4 * hidden,)}, got {w_ih.shape}, {w_hh.shape} and {bias.shape}")
+    # Everything below runs in reading order; only the ends are flipped.
+    xs = x.data[::-1] if reverse else x.data
+    pre = xs @ w_ih.data + bias.data
+    gates = np.empty_like(pre)  # activated i, f, g, o
+    cells = np.empty((n, hidden))
+    tanh_cells = np.empty((n, hidden))
+    states = np.empty((n, hidden))
+    i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    for t in range(n):
+        a = pre[t] + h @ w_hh.data
+        act = gates[t]
+        act[:] = _sigmoid(a)
+        act[g_] = np.tanh(a[g_])
+        c = cells[t] = act[f_] * c + act[i_] * act[g_]
+        tanh_cells[t] = np.tanh(c)
+        h = states[t] = act[o_] * tanh_cells[t]
+
+    def backward(g: np.ndarray) -> None:
+        g = g[::-1] if reverse else g
+        i, f, gg, o = gates[:, i_], gates[:, f_], gates[:, g_], gates[:, o_]
+        c_prev = np.vstack([np.zeros((1, hidden)), cells[:-1]])
+        h_prev = np.vstack([np.zeros((1, hidden)), states[:-1]])
+        # Local derivatives for every step at once: the i, f and g
+        # pre-activations scale the cell gradient, o scales the state's.
+        by_dc = np.stack([gg * i * (1.0 - i), c_prev * f * (1.0 - f),
+                          i * (1.0 - gg * gg)], axis=1)
+        by_dh = tanh_cells * o * (1.0 - o)
+        dc_from_dh = o * (1.0 - tanh_cells * tanh_cells)
+        d_pre = np.empty((n, 4, hidden))
+        dh_next = np.zeros(hidden)
+        dc_next = np.zeros(hidden)
+        for t in range(n - 1, -1, -1):
+            dh = g[t] + dh_next
+            dc = dh * dc_from_dh[t] + dc_next
+            np.multiply(by_dc[t], dc, out=d_pre[t, :3])
+            np.multiply(by_dh[t], dh, out=d_pre[t, 3])
+            dc_next = dc * f[t]
+            dh_next = w_hh.data @ d_pre[t].reshape(-1)
+        d_pre = d_pre.reshape(n, 4 * hidden)
+        if w_ih.requires_grad:
+            w_ih._accumulate(xs.T @ d_pre)
+        if w_hh.requires_grad:
+            w_hh._accumulate(h_prev.T @ d_pre)
+        if bias.requires_grad:
+            bias._accumulate(d_pre.sum(axis=0))
+        if x.requires_grad:
+            dx = d_pre @ w_ih.data.T
+            x._accumulate(dx[::-1] if reverse else dx)
+
+    return _make(states[::-1] if reverse else states, (x, w_ih, w_hh, bias), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None,

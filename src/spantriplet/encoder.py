@@ -154,10 +154,6 @@ class LstmCellParams:
             bias=Parameter(np.zeros(4 * hidden), name=f"{name}.bias"),
         )
 
-    @property
-    def hidden(self) -> int:
-        return self.w_hh.shape[0]
-
     def parameters(self) -> list[Parameter]:
         return [self.w_ih, self.w_hh, self.bias]
 
@@ -179,41 +175,18 @@ class BiLstmParams:
         return self.forward.parameters() + self.backward.parameters()
 
 
-def _lstm_direction(embeddings: Tensor, cell: LstmCellParams,
-                    reverse: bool) -> list[Tensor]:
-    n = embeddings.shape[0]
-    hidden = cell.hidden
-    h = Tensor(np.zeros(hidden))
-    c = Tensor(np.zeros(hidden))
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    states: list[Tensor] = []
-    for t in order:
-        x_t = ad.row(embeddings, t)
-        gates = ad.add(ad.add(ad.matmul(x_t, cell.w_ih), ad.matmul(h, cell.w_hh)),
-                       cell.bias)
-        i = ad.sigmoid(ad.narrow(gates, 0, hidden))
-        f = ad.sigmoid(ad.narrow(gates, hidden, 2 * hidden))
-        g = ad.tanh(ad.narrow(gates, 2 * hidden, 3 * hidden))
-        o = ad.sigmoid(ad.narrow(gates, 3 * hidden, 4 * hidden))
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-        states.append(h)
-    if reverse:
-        states.reverse()
-    return states
-
-
 def bilstm_forward(embeddings: Tensor, params: BiLstmParams) -> Tensor:
     """Contextualize (n, E) embeddings into (n, 2H) forward;backward states.
 
     Both directions start from zero states and use the standard LSTM cell
-    recurrence.
+    recurrence; each direction is one fused ``ad.lstm`` node.
     """
     if embeddings.ndim != 2 or embeddings.shape[0] < 1:
         raise DimensionError(f"bilstm expects a (n, E) matrix with n >= 1, got {embeddings.shape}")
-    fw = _lstm_direction(embeddings, params.forward, reverse=False)
-    bw = _lstm_direction(embeddings, params.backward, reverse=True)
-    return ad.concat([ad.stack(fw, axis=0), ad.stack(bw, axis=0)], axis=1)
+    fw, bw = params.forward, params.backward
+    return ad.concat([ad.lstm(embeddings, fw.w_ih, fw.w_hh, fw.bias),
+                      ad.lstm(embeddings, bw.w_ih, bw.w_hh, bw.bias, reverse=True)],
+                     axis=1)
 
 
 # ---------------------------------------------------------------------------

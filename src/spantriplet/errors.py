@@ -46,7 +46,7 @@ class CheckpointError(SpanTripletError, ValueError):
 
 
 class NumericalError(SpanTripletError, RuntimeError):
-    """Training hit a non-finite loss. Diagnostics are in ``snapshot``."""
+    """Training hit a non-finite loss or gradient. Diagnostics are in ``snapshot``."""
 
     def __init__(self, message: str, snapshot: dict | None = None):
         super().__init__(message)

@@ -130,9 +130,26 @@ class EpochStats:
     seconds: float
 
 
+def _failure_snapshot(model: SpanModel, sentence: Sentence, position: int,
+                      parts: LossParts) -> dict:
+    return {
+        "sentence_id": sentence.id,
+        "tokens": sentence.tokens,
+        "position_in_epoch": position,
+        "mention_loss": parts.mention.item(),
+        "relation_loss": parts.relation.item(),
+        "param_norms": {p.name: float(np.linalg.norm(p.data))
+                        for p in model.parameters()},
+    }
+
+
 def train_epoch(model: SpanModel, sentences: Sequence[Sentence],
                 optimizer: AdamW, rng: np.random.Generator) -> EpochStats:
-    """One pass over the data in seeded-shuffled order, one update per sentence."""
+    """One pass over the data in seeded-shuffled order, one update per sentence.
+
+    A non-finite loss or gradient raises NumericalError before the update,
+    so the parameters keep their last finite values.
+    """
     if not sentences:
         raise DataError("cannot train on an empty dataset")
     start = time.perf_counter()
@@ -145,18 +162,16 @@ def train_epoch(model: SpanModel, sentences: Sequence[Sentence],
         parts = compute_loss(output, sentence, model.config.channel_mode)
         loss = parts.total.item()
         if not np.isfinite(loss):
-            raise NumericalError(
-                f"non-finite loss on sentence {sentence.id}",
-                snapshot={
-                    "sentence_id": sentence.id,
-                    "tokens": sentence.tokens,
-                    "position_in_epoch": position,
-                    "mention_loss": parts.mention.item(),
-                    "relation_loss": parts.relation.item(),
-                    "param_norms": {p.name: float(np.linalg.norm(p.data))
-                                    for p in model.parameters()},
-                })
+            raise NumericalError(f"non-finite loss on sentence {sentence.id}",
+                                 snapshot=_failure_snapshot(model, sentence, position, parts))
         parts.total.backward()
+        bad = [p.name for p in optimizer.params if not np.isfinite(p.grad).all()]
+        if bad:
+            snapshot = _failure_snapshot(model, sentence, position, parts)
+            snapshot["non_finite_grads"] = bad
+            raise NumericalError(
+                f"non-finite gradient on sentence {sentence.id} in {', '.join(bad)}",
+                snapshot=snapshot)
         optimizer.step()
         totals += (loss, parts.mention.item(), parts.relation.item())
     n = len(sentences)

@@ -4,7 +4,7 @@ import pytest
 from spantriplet import autodiff as ad
 from spantriplet import encoder as enc
 from spantriplet.autodiff import Parameter, Tensor
-from spantriplet.errors import DataError, ParseError
+from spantriplet.errors import DataError, DimensionError, ParseError
 
 from fdcheck import max_gradient_error
 
@@ -147,6 +147,79 @@ class TestBiLstm:
         out = enc.bilstm_forward(Tensor(rng.normal(size=(4, 2))), params)
         np.testing.assert_array_equal(out.data[:, 3:], np.zeros((4, 3)))
         assert np.any(out.data[:, :3] != 0.0)
+
+
+def _reference_direction(embeddings, cell, reverse):
+    hidden = cell.w_hh.shape[0]
+    h = Tensor(np.zeros(hidden))
+    c = Tensor(np.zeros(hidden))
+    order = range(embeddings.shape[0] - 1, -1, -1) if reverse else range(embeddings.shape[0])
+    states = []
+    for t in order:
+        gates = ad.add(ad.add(ad.matmul(ad.row(embeddings, t), cell.w_ih),
+                              ad.matmul(h, cell.w_hh)), cell.bias)
+        i = ad.sigmoid(ad.narrow(gates, 0, hidden))
+        f = ad.sigmoid(ad.narrow(gates, hidden, 2 * hidden))
+        g = ad.tanh(ad.narrow(gates, 2 * hidden, 3 * hidden))
+        o = ad.sigmoid(ad.narrow(gates, 3 * hidden, 4 * hidden))
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+        states.append(h)
+    if reverse:
+        states.reverse()
+    return ad.stack(states, axis=0)
+
+
+def reference_bilstm(embeddings, params):
+    """The BiLSTM composed per timestep from elementary ops, as an oracle."""
+    return ad.concat([_reference_direction(embeddings, params.forward, False),
+                      _reference_direction(embeddings, params.backward, True)], axis=1)
+
+
+class TestFusedLstmMatchesReference:
+    @staticmethod
+    def _run(bilstm, x, params, seed):
+        for p in params.parameters() + [x]:
+            p.grad = None
+        out = bilstm(x, params)
+        out.backward(seed=seed)
+        grads = {p.name: p.grad.copy() for p in params.parameters()}
+        return out.data, grads, None if x.grad is None else x.grad.copy()
+
+    @staticmethod
+    def _assert_close(actual, expected):
+        assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def _compare(self, e_dim, hidden, n, x_requires_grad):
+        rng = np.random.default_rng(100 + n)
+        params = enc.BiLstmParams.create("lstm", e_dim, hidden, rng)
+        for cell in (params.forward, params.backward):
+            cell.bias.data[...] = rng.normal(size=cell.bias.shape)
+        x = Tensor(rng.normal(size=(n, e_dim)), requires_grad=x_requires_grad)
+        seed = rng.normal(size=(n, 2 * hidden))
+        out, grads, x_grad = self._run(enc.bilstm_forward, x, params, seed)
+        ref_out, ref_grads, ref_x_grad = self._run(reference_bilstm, x, params, seed)
+        self._assert_close(out, ref_out)
+        for name, ref in ref_grads.items():
+            self._assert_close(grads[name], ref)
+        if x_requires_grad:
+            self._assert_close(x_grad, ref_x_grad)
+        else:
+            assert x_grad is None
+
+    @pytest.mark.parametrize("e_dim,hidden,n", [(5, 4, 1), (5, 4, 2), (5, 4, 7),
+                                                (3, 6, 7), (300, 300, 40)])
+    def test_outputs_and_gradients(self, e_dim, hidden, n):
+        self._compare(e_dim, hidden, n, x_requires_grad=True)
+
+    def test_input_without_requires_grad_gets_no_grad_buffer(self):
+        self._compare(5, 4, 7, x_requires_grad=False)
+
+    def test_weight_shape_mismatch(self):
+        params = enc.BiLstmParams.create("lstm", 5, 4, np.random.default_rng(0))
+        with pytest.raises(DimensionError):
+            ad.lstm(Tensor(np.zeros((3, 5))), params.forward.w_ih,
+                    params.backward.w_ih, params.forward.bias)
 
 
 class TestEnumerateSpans:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from spantriplet import autodiff as ad
+from spantriplet import training
 from spantriplet.data import GoldTriplet, Sentence, make_fixture
 from spantriplet.encoder import Vocabulary, enumerate_spans
 from spantriplet.errors import DataError, NumericalError
@@ -241,6 +243,32 @@ class TestTrainEpoch:
             train_epoch(model, fixture, make_optimizer(model, TrainConfig()),
                         np.random.default_rng(0))
         assert "param_norms" in err.value.snapshot
+
+
+    def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch):
+        fixture = make_fixture(np.random.default_rng(7), 3)
+        model = tiny_model(fixture)
+        target = model.parameters()[0]
+        real_compute_loss = training.compute_loss
+
+        def poisoned_loss(output, sentence, channel_mode="dual"):
+            # Adds a node whose value is 0 but whose gradient is NaN.
+            parts = real_compute_loss(output, sentence, channel_mode)
+            nan_grad = ad._make(np.asarray(0.0), (target,),
+                                lambda g: target._accumulate(np.full_like(target.data, np.nan)))
+            parts.total = ad.add(parts.total, nan_grad)
+            return parts
+
+        monkeypatch.setattr(training, "compute_loss", poisoned_loss)
+        before = model.state_arrays()
+        with pytest.raises(NumericalError, match="non-finite gradient") as err:
+            train_epoch(model, fixture, make_optimizer(model, TrainConfig()),
+                        np.random.default_rng(0))
+        assert err.value.snapshot["non_finite_grads"] == [target.name]
+        assert "param_norms" in err.value.snapshot
+        after = model.state_arrays()
+        for name, value in before.items():
+            np.testing.assert_array_equal(after[name], value)
 
 
 class TestReferenceScale:
