@@ -8,7 +8,7 @@ primitives, so this is the best place to start reading.
 import numpy as np
 
 from spantriplet import autodiff as ad
-from spantriplet.autodiff import AdamW, GroupSettings, Parameter, Tensor
+from spantriplet.autodiff import AdamW, Parameter, Tensor
 
 # --- forward + backward on a tiny expression -------------------------------
 
@@ -46,8 +46,7 @@ targets = inputs @ np.array([3.0, -2.0]) + 0.5
 
 weight = Parameter(np.zeros(2), name="weight")
 bias = Parameter(np.zeros(1), name="bias")
-optimizer = AdamW([weight, bias], groups={"other": GroupSettings(lr=0.05,
-                                                                 weight_decay=0.0)})
+optimizer = AdamW([weight, bias], lr=0.05)
 for step in range(400):
     optimizer.zero_grad()
     pred = ad.add(ad.matmul(Tensor(inputs), weight), bias)

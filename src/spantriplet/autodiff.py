@@ -6,7 +6,10 @@ result plus a closure that routes the output gradient to the inputs;
 The graph is rebuilt on every forward pass, which fits per-sentence
 updates (batch size 1) and keeps no state between examples. Each LSTM
 direction is one op (``lstm``): its input projection is hoisted into one
-GEMM over the sentence and its BPTT backward is written by hand.
+GEMM over the sentence and its BPTT backward is written by hand. A training
+step allocates little: weight gradients from GEMMs go through a product
+buffer each weight keeps, row gathers scatter their gradient into the
+existing buffer, and AdamW updates in place, block by block.
 
 Gradients only flow into tensors with ``requires_grad``; a detached input
 never gets a grad buffer allocated.
@@ -15,9 +18,9 @@ never gets a grad buffer allocated.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,7 +31,7 @@ from .errors import CheckpointError, DimensionError, TrainingStateError
 class Tensor:
     """Dense n-dimensional value node of the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_product")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -36,6 +39,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        self._product: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,6 +62,17 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
+
+    def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add ``a @ b`` to the gradient through a buffer kept for the next pass.
+
+        The product never goes straight into ``grad``, which may already
+        hold gradient from another consumer.
+        """
+        if self._product is None:
+            self._product = np.empty_like(self.data)
+        np.matmul(a, b, out=self._product)
+        self._accumulate(self._product)
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this node.
@@ -130,19 +145,18 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a unique name and an optimizer group."""
+    """Trainable tensor with a unique name."""
 
-    __slots__ = ("name", "group")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str, group: str = "other"):
+    def __init__(self, data, name: str):
         if isinstance(data, Tensor):
             data = data.data
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.group = group
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape}, group={self.group!r})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def _lift(value) -> Tensor:
@@ -241,8 +255,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.ndim == 2 and b.ndim == 2:
-            ga, gb = g @ b.data.T, a.data.T @ g
-        elif a.ndim == 2 and b.ndim == 1:
+            if a.requires_grad:
+                a._accumulate(g @ b.data.T)
+            if b.requires_grad:
+                b._accumulate_product(a.data.T, g)
+            return
+        if a.ndim == 2 and b.ndim == 1:
             ga, gb = np.outer(g, b.data), a.data.T @ g
         elif a.ndim == 1 and b.ndim == 2:
             ga, gb = b.data @ g, np.outer(a.data, g)
@@ -323,19 +341,37 @@ def row(x: Tensor, index: int) -> Tensor:
 
 
 def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of a 2-D tensor; repeated indices accumulate gradient."""
+    """Gather rows of a 2-D tensor; repeated indices accumulate gradient.
+
+    Backward sums the gradient rows of each distinct index in the order
+    they occur, then adds each sum to its row of ``x.grad``: the same
+    bits as scattering into zeros with ``np.add.at`` and adding that.
+    """
     idx = np.asarray(list(indices), dtype=np.intp)
     n = x.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"row indices out of range for {n} rows: {idx.tolist()}")
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            np.add.at(buf, idx, g)
-            x._accumulate(buf)
+        if not x.requires_grad:
+            return
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        if not idx.size:
+            return
+        order = np.argsort(idx, kind="stable")
+        ordered = idx[order]
+        first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        counts = np.diff(np.r_[first, idx.size])
+        sums = np.zeros((first.size,) + g.shape[1:])
+        # Round r adds each index's r-th occurrence; no index repeats
+        # within a round, so the fancy ``+=`` loses nothing.
+        for r in range(counts.max()):
+            live = counts > r
+            sums[live] += g[order[first[live] + r]]
+        x.grad[ordered[first]] += sums
 
-    return _make(x.data[idx].copy(), (x,), backward)
+    return _make(x.data[idx], (x,), backward)
 
 
 def narrow(x: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
@@ -461,9 +497,9 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
             dh_next = w_hh.data @ d_pre[t].reshape(-1)
         d_pre = d_pre.reshape(n, 4 * hidden)
         if w_ih.requires_grad:
-            w_ih._accumulate(xs.T @ d_pre)
+            w_ih._accumulate_product(xs.T, d_pre)
         if w_hh.requires_grad:
-            w_hh._accumulate(h_prev.T @ d_pre)
+            w_hh._accumulate_product(h_prev.T, d_pre)
         if bias.requires_grad:
             bias._accumulate(d_pre.sum(axis=0))
         if x.requires_grad:
@@ -608,14 +644,12 @@ class FeedForward:
     @classmethod
     def create(cls, name: str, in_dim: int, out_dim: int, *,
                hidden_dim: int = 150, hidden_layers: int = 2,
-               dropout_p: float = 0.4, rng: np.random.Generator,
-               group: str = "other") -> "FeedForward":
+               dropout_p: float = 0.4, rng: np.random.Generator) -> "FeedForward":
         dims = [in_dim] + [hidden_dim] * hidden_layers + [out_dim]
         weights, biases = [], []
         for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            weights.append(Parameter(xavier_init((d_in, d_out), rng),
-                                     name=f"{name}.w{i}", group=group))
-            biases.append(Parameter(np.zeros(d_out), name=f"{name}.b{i}", group=group))
+            weights.append(Parameter(xavier_init((d_in, d_out), rng), name=f"{name}.w{i}"))
+            biases.append(Parameter(np.zeros(d_out), name=f"{name}.b{i}"))
         return cls(weights, biases, dropout_p)
 
     @property
@@ -649,38 +683,32 @@ class FeedForward:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupSettings:
-    lr: float
-    weight_decay: float
-
-
-# Encoder-weight settings exist for fine-tuned encoders; the recurrent
-# build puts every parameter in "other".
-DEFAULT_GROUPS = {
-    "other": GroupSettings(lr=1e-3, weight_decay=0.0),
-    "encoder-weight": GroupSettings(lr=5e-5, weight_decay=1e-2),
-}
-
-
 class AdamW:
-    """Adam with decoupled weight decay, settings chosen per parameter group."""
+    """Adam with decoupled weight decay, updating every parameter in place.
 
-    def __init__(self, params: Iterable[Parameter],
-                 groups: dict[str, GroupSettings] | None = None,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    Each parameter is updated in blocks of about ``BLOCK`` entries along its
+    first axis, with two scratch blocks the optimizer owns, so a step
+    allocates no array memory and each block's gradient is zeroed while
+    still in cache.
+    Basic slices are views for any memory layout, so every update lands.
+    """
+
+    BLOCK = 16384
+
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
+                 weight_decay: float = 0.0, betas: tuple[float, float] = (0.9, 0.999),
+                 eps: float = 1e-8):
         self.params = list(params)
-        self.groups = dict(DEFAULT_GROUPS)
-        if groups:
-            self.groups.update(groups)
-        for p in self.params:
-            if p.group not in self.groups:
-                raise TrainingStateError(f"parameter {p.name} has unknown group {p.group!r}")
+        self.lr = lr
+        self.weight_decay = weight_decay
         self.betas = betas
         self.eps = eps
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
+        # A row wider than BLOCK is a block of its own.
+        widest = max((math.prod(p.shape[1:]) for p in self.params), default=0)
+        self._scratch = np.empty((2, max(self.BLOCK, widest)))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -697,19 +725,32 @@ class AdamW:
         b1, b2 = self.betas
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
-        for p, m, v in zip(self.params, self.first_moment, self.second_moment):
-            g = p.grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            settings = self.groups[p.group]
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            if settings.weight_decay:
-                update = update + settings.weight_decay * p.data
-            p.data -= settings.lr * update
-        for p in self.params:
-            p.grad.fill(0.0)
+        for p, m_all, v_all in zip(self.params, self.first_moment, self.second_moment):
+            arrays = [np.atleast_1d(a) for a in (p.data, p.grad, m_all, v_all)]
+            per_block = max(1, self.BLOCK // max(1, math.prod(arrays[0].shape[1:])))
+            for start in range(0, len(arrays[0]), per_block):
+                w, g, m, v = (a[start:start + per_block] for a in arrays)
+                t, u = (s[:g.size].reshape(g.shape) for s in self._scratch)
+                # m, v and u exactly as m = b1*m + (1-b1)*g,
+                # v = b2*v + (1-b2)*g*g, u = (m/bias1) / (sqrt(v/bias2) + eps).
+                m *= b1
+                np.multiply(1.0 - b1, g, out=t)
+                m += t
+                v *= b2
+                np.multiply(1.0 - b2, g, out=t)
+                t *= g
+                v += t
+                np.divide(v, bias2, out=t)
+                np.sqrt(t, out=t)
+                t += self.eps
+                np.divide(m, bias1, out=u)
+                u /= t
+                if self.weight_decay:
+                    np.multiply(self.weight_decay, w, out=t)
+                    u += t
+                u *= self.lr
+                w -= u
+                g.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

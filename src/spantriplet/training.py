@@ -10,6 +10,8 @@ checkpoint kept per seed is the one maximizing dev triplet F1.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamW, GroupSettings, Tensor
+from .autodiff import AdamW, Tensor
 from .data import Sentence
 from .encoder import Span
 from .errors import DataError, NumericalError
@@ -41,15 +43,22 @@ class TrainConfig:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
         if not self.seeds:
             raise DataError("at least one seed is required")
+        if not _is_real(self.lr) or not (0.0 < self.lr < math.inf):
+            raise DataError(f"lr must be a finite number > 0, got {self.lr!r}")
+        if not _is_real(self.weight_decay) or not (0.0 <= self.weight_decay < math.inf):
+            raise DataError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
 
     def as_dict(self) -> dict:
         return {"epochs": self.epochs, "seeds": list(self.seeds),
                 "lr": self.lr, "weight_decay": self.weight_decay}
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def make_optimizer(model: SpanModel, config: TrainConfig) -> AdamW:
-    return AdamW(model.parameters(),
-                 groups={"other": GroupSettings(config.lr, config.weight_decay)})
+    return AdamW(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +157,17 @@ def train_epoch(model: SpanModel, sentences: Sequence[Sentence],
     """One pass over the data in seeded-shuffled order, one update per sentence.
 
     A non-finite loss or gradient raises NumericalError before the update,
-    so the parameters keep their last finite values.
+    so the parameters keep their last finite values. Gradients are zeroed
+    once up front; each ``optimizer.step`` leaves them zero again.
     """
     if not sentences:
         raise DataError("cannot train on an empty dataset")
     start = time.perf_counter()
     order = rng.permutation(len(sentences))
     totals = np.zeros(3)
+    optimizer.zero_grad()
     for position, idx in enumerate(order):
         sentence = sentences[int(idx)]
-        optimizer.zero_grad()
         output = model.forward(sentence.tokens, training=True, rng=rng)
         parts = compute_loss(output, sentence, model.config.channel_mode)
         loss = parts.total.item()

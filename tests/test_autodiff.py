@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spantriplet import autodiff as ad
-from spantriplet.autodiff import (AdamW, FeedForward, GroupSettings, Parameter,
-                                  Tensor)
+from spantriplet.autodiff import AdamW, FeedForward, Parameter, Tensor
+from spantriplet.encoder import enumerate_spans
 from spantriplet.errors import (CheckpointError, DimensionError,
                                 TrainingStateError)
 
@@ -192,6 +192,109 @@ class TestStructuralOps:
         assert err < 1e-8
 
 
+def reference_rows_backward(x: Tensor, indices, g: np.ndarray) -> None:
+    """Reference ``rows`` backward: scatter into zeros with np.add.at, then add."""
+    buf = np.zeros_like(x.data)
+    np.add.at(buf, np.asarray(indices, dtype=np.intp), g)
+    x._accumulate(buf)
+
+
+def pair_indices(rng, spans, k):
+    """Target and opinion index lists of the k x k pair assembly."""
+    targets = rng.choice(spans, size=k, replace=False)
+    opinions = rng.choice(spans, size=k, replace=False)
+    return np.repeat(targets, k), np.tile(opinions, k)
+
+
+class TestRowsBackwardMatchesAddAt:
+    """The loop-free row-gather backward gives the bits of np.add.at."""
+
+    @staticmethod
+    def index_patterns():
+        rng = np.random.default_rng(21)
+        spans = enumerate_spans(40, 8)
+        t_idx, o_idx = pair_indices(rng, len(spans), 20)
+        return {
+            "pair targets (repeat)": (len(spans), t_idx),
+            "pair opinions (tile)": (len(spans), o_idx),
+            "boundary starts": (40, [s[0] for s in spans]),
+            "boundary ends": (40, [s[1] for s in spans]),
+            "tokens with repeats": (50, rng.integers(0, 12, size=60)),
+            "distinct": (30, rng.permutation(30)[:17]),
+            "one row": (5, [3]),
+        }
+
+    @pytest.mark.parametrize("prefilled", [False, True])
+    def test_bitwise_equal_to_reference(self, prefilled):
+        rng = np.random.default_rng(22)
+        for name, (n, idx) in self.index_patterns().items():
+            start = rng.normal(size=(n, 7))
+            grad = rng.normal(size=(n, 7)) if prefilled else None
+            new = Parameter(start, name="new")
+            ref = Parameter(start, name="ref")
+            new.grad = None if grad is None else grad.copy()
+            ref.grad = None if grad is None else grad.copy()
+            out = ad.rows(new, idx)
+            out.backward(seed=rng.normal(size=out.shape))
+            reference_rows_backward(ref, idx, out.grad)
+            assert new.grad.tobytes() == ref.grad.tobytes(), name
+
+    def test_empty_gather_still_allocates_the_gradient(self):
+        x = Parameter(np.ones((3, 2)), name="x")
+        ad.tensor_sum(ad.concat([ad.rows(x, []), Tensor(np.ones((1, 2)))], axis=0)).backward()
+        np.testing.assert_array_equal(x.grad, np.zeros((3, 2)))
+
+    def test_gather_returns_a_copy(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        out = ad.rows(x, [2, 0])
+        out.data[...] = -1.0
+        np.testing.assert_array_equal(x.data, np.arange(6.0).reshape(3, 2))
+
+
+class TestWeightGradientsAccumulate:
+    """A second backward without zero_grad adds, never overwrites."""
+
+    def test_matmul_weight_gradient_doubles(self):
+        rng = np.random.default_rng(23)
+        w = Parameter(rng.normal(size=(4, 3)), name="w")
+        x = Tensor(rng.normal(size=(5, 4)))
+
+        def loss():
+            return ad.tensor_sum(ad.relu(ad.matmul(x, w)))
+
+        loss().backward()
+        once = w.grad.copy()
+        np.testing.assert_allclose(once, x.data.T @ (x.data @ w.data > 0), rtol=1e-13)
+        loss().backward()
+        np.testing.assert_array_equal(w.grad, 2.0 * once)
+
+    def test_matmul_weight_gradients_of_two_consumers_add(self):
+        rng = np.random.default_rng(26)
+        w = Parameter(rng.normal(size=(4, 3)), name="w")
+        x1, x2 = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(2, 4)))
+        ad.add(ad.tensor_sum(ad.matmul(x1, w)),
+               ad.tensor_sum(ad.relu(ad.matmul(x2, w)))).backward()
+        expected = x1.data.T @ np.ones((5, 3)) + x2.data.T @ (x2.data @ w.data > 0)
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-13)
+
+    def test_lstm_weight_gradients_double(self):
+        rng = np.random.default_rng(24)
+        w_ih = Parameter(rng.normal(size=(3, 8)), name="w_ih")
+        w_hh = Parameter(rng.normal(size=(2, 8)), name="w_hh")
+        bias = Parameter(rng.normal(size=8), name="bias")
+        x = Tensor(rng.normal(size=(5, 3)))
+        weights = Tensor(rng.normal(size=(5, 2)))
+
+        def loss():
+            return ad.tensor_sum(ad.mul(ad.lstm(x, w_ih, w_hh, bias, reverse=True), weights))
+
+        loss().backward()
+        once = [w_ih.grad.copy(), w_hh.grad.copy()]
+        loss().backward()
+        np.testing.assert_array_equal(w_ih.grad, 2.0 * once[0])
+        np.testing.assert_array_equal(w_hh.grad, 2.0 * once[1])
+
+
 class TestBackwardContract:
     def test_detached_input_gets_no_grad_buffer(self):
         x = Parameter([1.0, 2.0], name="x")
@@ -216,18 +319,49 @@ class TestBackwardContract:
         assert np.isfinite(w.grad).all()
 
 
+def reference_adamw_step(params, first, second, step, lr, weight_decay,
+                         betas=(0.9, 0.999), eps=1e-8):
+    """Reference AdamW update as whole-array expressions, on copies the test keeps."""
+    b1, b2 = betas
+    bias1 = 1.0 - b1 ** step
+    bias2 = 1.0 - b2 ** step
+    for p, m, v in zip(params, first, second):
+        g = p.grad
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
+        if weight_decay:
+            update = update + weight_decay * p.data
+        p.data -= lr * update
+        p.grad.fill(0.0)
+
+
+def adamw_starts(seed):
+    """Start values for the AdamW oracle: sizes around the block, then a
+    Fortran-ordered and a strided parameter."""
+    rng = np.random.default_rng(seed)
+    block = AdamW.BLOCK
+    shapes = [(1,), (block - 1,), (block,), (block + 1,), (2001, 300), (3, 2 * block + 5)]
+    starts = [rng.normal(size=shape) for shape in shapes]
+    starts.append(np.asfortranarray(rng.normal(size=(37, 450))))
+    starts.append(rng.normal(size=(40, 900))[:, ::3])
+    return starts
+
+
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_fixed_point(self):
         p = Parameter([1.5, -2.0], name="p")
         before = p.data.copy()
-        opt = AdamW([p], groups={"other": GroupSettings(1e-3, 0.0)})
+        opt = AdamW([p], lr=1e-3)
         opt.zero_grad()
         opt.step()
         np.testing.assert_array_equal(p.data, before)
 
     def test_single_step_matches_hand_computation(self):
         p = Parameter([1.0], name="p")
-        opt = AdamW([p], groups={"other": GroupSettings(1e-3, 0.0)})
+        opt = AdamW([p], lr=1e-3)
         opt.zero_grad()
         p.grad[...] = 1.0
         opt.step()
@@ -238,7 +372,7 @@ class TestAdamW:
 
     def test_decoupled_weight_decay_applies_without_gradient_signal(self):
         p = Parameter([2.0], name="p")
-        opt = AdamW([p], groups={"other": GroupSettings(0.1, 0.5)})
+        opt = AdamW([p], lr=0.1, weight_decay=0.5)
         opt.zero_grad()
         opt.step()
         assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
@@ -246,7 +380,7 @@ class TestAdamW:
     def test_two_steps_replay_identically(self):
         def run():
             p = Parameter([0.3, -0.7], name="p")
-            opt = AdamW([p], groups={"other": GroupSettings(1e-3, 0.0)})
+            opt = AdamW([p], lr=1e-3)
             for g in ([1.0, -2.0], [0.5, 0.5]):
                 opt.zero_grad()
                 p.grad[...] = g
@@ -262,7 +396,7 @@ class TestAdamW:
         grads = [rng.normal(size=(3, 2)) for _ in range(5)]
 
         p = Parameter(start.copy(), name="p")
-        opt = AdamW([p], groups={"other": GroupSettings(1e-2, 0.03)})
+        opt = AdamW([p], lr=1e-2, weight_decay=0.03)
         for g in grads:
             opt.zero_grad()
             p.grad[...] = g
@@ -277,24 +411,34 @@ class TestAdamW:
             ref.step()
         np.testing.assert_allclose(p.data, ref_p.detach().numpy(), atol=1e-12)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.03])
+    def test_blocked_step_matches_whole_array_reference(self, weight_decay):
+        # Parameters wrap their start arrays, so layouts carry over to both sides.
+        params = [Parameter(a, name=f"p{i}") for i, a in enumerate(adamw_starts(25))]
+        refs = [Parameter(a, name=f"r{i}") for i, a in enumerate(adamw_starts(25))]
+        assert params[-2].data.flags.f_contiguous and not params[-2].data.flags.c_contiguous
+        assert not params[-1].data.flags.forc
+        opt = AdamW(params, lr=1e-2, weight_decay=weight_decay)
+        first = [np.zeros_like(r.data) for r in refs]
+        second = [np.zeros_like(r.data) for r in refs]
+        rng = np.random.default_rng(26)
+        for step in range(1, 4):
+            for p, r in zip(params, refs):
+                p.grad = rng.normal(size=p.shape)
+                r.grad = p.grad.copy()
+            opt.step()
+            reference_adamw_step(refs, first, second, step, 1e-2, weight_decay)
+            for i, (p, r) in enumerate(zip(params, refs)):
+                assert p.data.tobytes() == r.data.tobytes(), (step, i)
+                assert opt.first_moment[i].tobytes() == first[i].tobytes(), (step, i)
+                assert opt.second_moment[i].tobytes() == second[i].tobytes(), (step, i)
+                assert not p.grad.any()
+
     def test_missing_gradient_is_an_error(self):
         p = Parameter([1.0], name="p")
         opt = AdamW([p])
         with pytest.raises(TrainingStateError, match="p"):
             opt.step()
-
-    def test_group_settings_select_by_parameter_group(self):
-        a = Parameter([1.0], name="a", group="other")
-        b = Parameter([1.0], name="b", group="encoder-weight")
-        opt = AdamW([a, b])
-        opt.zero_grad()
-        a.grad[...] = 1.0
-        b.grad[...] = 1.0
-        opt.step()
-        # lr 1e-3 / wd 0 vs lr 5e-5 / wd 1e-2
-        assert a.data[0] == pytest.approx(1.0 - 1e-3 / (1.0 + 1e-8), rel=1e-14)
-        assert b.data[0] == pytest.approx(1.0 - 5e-5 * (1.0 / (1.0 + 1e-8) + 1e-2),
-                                          rel=1e-12)
 
 
 class TestXavierInit:

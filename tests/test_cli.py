@@ -116,6 +116,22 @@ class TestTrain:
         assert "bogus_field" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1e-3), ("lr", float("nan")), ("lr", "fast"), ("weight_decay", -0.5),
+    ])
+    def test_bad_optimizer_setting_is_usage_error(self, tmp_path, corpus_path, capsys,
+                                                  field, value):
+        config = {"paths": {"train_path": corpus_path, "out": str(tmp_path / "r")},
+                  "model": TINY_MODEL,
+                  "training": {"epochs": 1, "seeds": [0], field: value}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not (tmp_path / "r").exists()
+
+
 class TestEvalPredict:
     @pytest.fixture
     def trained(self, config_path, tmp_path):

@@ -172,6 +172,21 @@ class TestLoss:
         assert max_gradient_error(loss, model.parameters()) < 1e-4
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1e-3), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf), ("lr", "fast"),
+        ("lr", True), ("weight_decay", -0.01), ("weight_decay", math.nan),
+        ("weight_decay", "none"),
+    ])
+    def test_bad_optimizer_settings_are_rejected(self, field, value):
+        with pytest.raises(DataError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    def test_valid_optimizer_settings_pass(self):
+        TrainConfig(lr=1, weight_decay=0).validate()
+        TrainConfig(lr=np.float64(5e-4), weight_decay=1e-2).validate()
+
+
 class TestTrainEpoch:
     def test_empty_dataset_rejected(self):
         fixture = make_fixture(np.random.default_rng(4), 5)
@@ -193,6 +208,23 @@ class TestTrainEpoch:
         assert first.keys() == second.keys()
         for name in first:
             assert np.array_equal(first[name], second[name]), name
+
+    def test_stale_gradients_do_not_leak_into_the_epoch(self):
+        fixture = make_fixture(np.random.default_rng(6), 4)
+
+        def run(stale):
+            model = tiny_model(fixture, seed=2)
+            optimizer = make_optimizer(model, TrainConfig())
+            if stale:
+                for p in model.parameters():
+                    p.grad = np.ones_like(p.data)
+            train_epoch(model, fixture, optimizer, np.random.default_rng(7))
+            assert all(not p.grad.any() for p in model.parameters())
+            return model.state_arrays()
+
+        clean, stale = run(False), run(True)
+        for name in clean:
+            assert clean[name].tobytes() == stale[name].tobytes(), name
 
     def test_determinism_holds_with_dropout_active(self):
         fixture = make_fixture(np.random.default_rng(12), 6)
