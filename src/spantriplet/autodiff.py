@@ -6,10 +6,11 @@ result plus a closure that routes the output gradient to the inputs;
 The graph is rebuilt on every forward pass, which fits per-sentence
 updates (batch size 1) and keeps no state between examples. Each LSTM
 direction is one op (``lstm``): its input projection is hoisted into one
-GEMM over the sentence and its BPTT backward is written by hand. A training
-step allocates little: weight gradients from GEMMs go through a product
-buffer each weight keeps, row gathers scatter their gradient into the
-existing buffer, and AdamW updates in place, block by block.
+GEMM over the sentence and its BPTT backward is written by hand. Max or
+mean pooling over every span of a sentence is one op too (``span_pool``).
+A training step allocates little: weight gradients from GEMMs go through a
+product buffer each weight keeps, row gathers scatter their gradient into
+the existing buffer, and AdamW updates in place, block by block.
 
 Gradients only flow into tensors with ``requires_grad``; a detached input
 never gets a grad buffer allocated.
@@ -25,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, DimensionError, TrainingStateError
+from .errors import CheckpointError, ConfigurationError, DimensionError, TrainingStateError
 
 
 class Tensor:
@@ -60,8 +61,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A fresh buffer (``g`` may be a view shared with other consumers)
+            # holding 0.0 + g in one pass: the bits of zeros plus ``g``.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
         """Add ``a @ b`` to the gradient through a buffer kept for the next pass.
@@ -306,40 +310,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis."""
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("stack: need at least one tensor")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise DimensionError(f"stack: shapes differ, {[t.shape for t in tensors]}")
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(np.take(g, i, axis=axis))
-
-    return _make(data, tuple(tensors), backward)
-
-
-def row(x: Tensor, index: int) -> Tensor:
-    """Single row of a 2-D tensor as a vector."""
-    n = x.shape[0]
-    if not 0 <= index < n:
-        raise IndexError(f"row index {index} out of range for {n} rows")
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            buf[index] = g
-            x._accumulate(buf)
-
-    return _make(x.data[index].copy(), (x,), backward)
-
-
 def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of a 2-D tensor; repeated indices accumulate gradient.
 
@@ -347,7 +317,7 @@ def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     they occur, then adds each sum to its row of ``x.grad``: the same
     bits as scattering into zeros with ``np.add.at`` and adding that.
     """
-    idx = np.asarray(list(indices), dtype=np.intp)
+    idx = np.asarray(indices, dtype=np.intp)
     n = x.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"row indices out of range for {n} rows: {idx.tolist()}")
@@ -374,21 +344,59 @@ def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     return _make(x.data[idx], (x,), backward)
 
 
-def narrow(x: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
-    """Contiguous slice [start:stop) along ``axis``."""
-    if not 0 <= start <= stop <= x.shape[axis]:
-        raise IndexError(f"narrow [{start}:{stop}) out of range for axis {axis} of {x.shape}")
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
+POOL_MODES = ("max", "mean")
+
+
+def span_pool(h: Tensor, starts: Sequence[int], ends: Sequence[int], mode: str) -> Tensor:
+    """Elementwise max or mean over rows ``starts[s]..ends[s]`` (inclusive) of (n, D) ``h``.
+
+    One node for all S spans: the forward gathers the padded (S, W, D)
+    window of rows once, W being the widest span, and reduces over it. A
+    window row past its span's end repeats the end row, which leaves the max
+    and its first argmax unchanged; for the mean it is zeroed, which leaves
+    the sum's bits unchanged (numpy sums from +0.0). Backward sends each max entry's gradient
+    to its first argmax row and spreads the mean's gradient as g / width over
+    the span's rows, summed in span order into one zeros buffer for ``h``.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    ends = np.asarray(ends, dtype=np.intp)
+    if mode not in POOL_MODES:
+        raise ConfigurationError(f"span_pool: mode must be one of {POOL_MODES}, got {mode!r}")
+    if h.ndim != 2 or starts.ndim != 1 or starts.shape != ends.shape:
+        raise DimensionError(f"span_pool: needs (n, D) rows and equal-length 1-D bounds, "
+                             f"got {h.shape}, {starts.shape} and {ends.shape}")
+    n, dim = h.shape
+    if starts.size and (starts.min() < 0 or ends.max() >= n or (ends < starts).any()):
+        raise IndexError(f"span bounds out of range for {n} rows: "
+                         f"{list(zip(starts.tolist(), ends.tolist()))}")
+    widths = ends - starts + 1
+    offsets = np.arange(widths.max(initial=1))
+    window_rows = np.minimum(starts[:, None] + offsets, ends[:, None])  # (S, W)
+    window = h.data[window_rows]
+    if mode == "max":
+        data = window.max(axis=1)
+    else:
+        window[offsets >= widths[:, None]] = 0.0
+        data = window.sum(axis=1) / widths[:, None]
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            buf[index] = g
-            x._accumulate(buf)
+        if not h.requires_grad:
+            return
+        if mode == "max":
+            # The first argmax never lies in the padding, so its row is start + position.
+            picked = h.data[window_rows].argmax(axis=1)
+            flat = (starts[:, None] + picked) * dim + np.arange(dim)
+            spread = g
+        else:
+            # Padding rows point at the span's end row and carry a zero.
+            flat = window_rows[:, :, None] * dim + np.arange(dim)
+            spread = np.where((offsets < widths[:, None])[:, :, None],
+                              (g / widths[:, None])[:, None, :], 0.0)
+        # bincount adds the weights in order into zeros, as np.add.at would.
+        buf = np.bincount(flat.ravel(), weights=spread.ravel(), minlength=n * dim)
+        h._accumulate(buf.reshape(n, dim))
 
-    return _make(x.data[index].copy(), (x,), backward)
+    return _make(data, (h,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +412,14 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
-    """Logistic function split by sign so neither branch overflows."""
-    s = np.empty_like(d)
-    pos = d >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    s[~pos] = ez / (1.0 + ez)
-    return s
+    """Logistic function split by sign so neither branch overflows.
+
+    With e = exp(-|d|) this is 1 / (1 + e) where d >= 0 and e / (1 + e)
+    elsewhere, computed for every entry and chosen with ``np.where``.
+    """
+    e = np.exp(-np.abs(d))
+    den = 1.0 + e
+    return np.where(d >= 0, 1.0 / den, e / den)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -533,32 +542,6 @@ def tensor_sum(x: Tensor) -> Tensor:
             x._accumulate(np.full_like(x.data, float(g)))
 
     return _make(np.asarray(x.data.sum()), (x,), backward)
-
-
-def reduce_max(x: Tensor, axis: int = 0) -> Tensor:
-    """Max along ``axis``; gradient goes to the first argmax on ties."""
-    data = x.data.max(axis=axis)
-    argmax = x.data.argmax(axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            idx = list(np.indices(data.shape))
-            idx.insert(axis, argmax)
-            buf[tuple(idx)] = g
-            x._accumulate(buf)
-
-    return _make(data, (x,), backward)
-
-
-def reduce_mean(x: Tensor, axis: int = 0) -> Tensor:
-    n = x.shape[axis]
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
-
-    return _make(x.data.mean(axis=axis), (x,), backward)
 
 
 def softmax_nll(logits: Tensor, gold) -> Tensor:

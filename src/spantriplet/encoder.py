@@ -196,39 +196,25 @@ def bilstm_forward(embeddings: Tensor, params: BiLstmParams) -> Tensor:
 SPAN_MODES = ("boundary", "max_pool", "mean_pool")
 
 
-def span_representation(h: Tensor, span: Span, mode: str,
-                        width_table: Parameter | None) -> Tensor:
-    """Vector for one span from the (n, 2H) hidden states.
-
-    boundary mode concatenates the start and end rows; the pooling modes
-    replace that pair with an elementwise max/mean over the span's rows.
-    The bucketed width embedding is appended unless ``width_table`` is None.
-    """
-    i, j = span
-    n = h.shape[0]
-    if not (0 <= i <= j < n):
-        raise IndexError(f"span {span} out of range for sentence length {n}")
-    if mode == "boundary":
-        core = [ad.row(h, i), ad.row(h, j)]
-    elif mode == "max_pool":
-        core = [ad.reduce_max(ad.narrow(h, i, j + 1), axis=0)]
-    elif mode == "mean_pool":
-        core = [ad.reduce_mean(ad.narrow(h, i, j + 1), axis=0)]
-    else:
-        raise DataError(f"unknown span mode {mode!r}; expected one of {SPAN_MODES}")
-    if width_table is not None:
-        core.append(ad.row(width_table, bucket_index(span_width(span))))
-    return core[0] if len(core) == 1 else ad.concat(core, axis=0)
-
-
 def span_representation_matrix(h: Tensor, spans: Sequence[Span], mode: str,
                                width_table: Parameter | None) -> Tensor:
-    """(S, D) matrix of span vectors; boundary mode is built with batched gathers."""
+    """(S, D) matrix of span vectors from the (n, 2H) hidden states.
+
+    boundary mode concatenates the start and end rows; the pooling modes
+    replace that pair with an elementwise max/mean over the span's rows,
+    one ``ad.span_pool`` node for all spans. The bucketed width embedding is
+    appended unless ``width_table`` is None.
+    """
+    if mode not in SPAN_MODES:
+        raise DataError(f"unknown span mode {mode!r}; expected one of {SPAN_MODES}")
+    bounds = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
+    starts, ends = bounds[:, 0], bounds[:, 1]
+    if (ends < starts).any():
+        raise IndexError(f"spans must have start <= end: {spans}")
     if mode == "boundary":
-        parts = [ad.rows(h, [s[0] for s in spans]), ad.rows(h, [s[1] for s in spans])]
-        if width_table is not None:
-            parts.append(ad.rows(width_table,
-                                 [bucket_index(span_width(s)) for s in spans]))
-        return ad.concat(parts, axis=1)
-    return ad.stack([span_representation(h, s, mode, width_table) for s in spans],
-                    axis=0)
+        parts = [ad.rows(h, starts), ad.rows(h, ends)]
+    else:
+        parts = [ad.span_pool(h, starts, ends, mode.removesuffix("_pool"))]
+    if width_table is not None:
+        parts.append(ad.rows(width_table, np.searchsorted(_BUCKET_UPPER, ends - starts + 1)))
+    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)

@@ -18,9 +18,9 @@ import numpy as np
 from .data import Sentence
 from .encoder import Span, span_width
 from .errors import ConfigurationError, DataError
-from .model import SpanModel
+from .model import MENTION_KINDS, SpanModel
 from .pruning import pool_size, prune_dual_channel, prune_single_channel
-from .triplet import TripletPrediction
+from .triplet import TripletPrediction, decode_triplets
 
 TripletKey = tuple[Span, Span, str]
 
@@ -132,45 +132,64 @@ def triplet_prf_for_model(model: SpanModel, sentences: Sequence[Sentence],
     return triplet_prf(gold_triplet_sets(sentences), predictions, mode, filter_side)
 
 
-def mention_prf(model: SpanModel, sentences: Sequence[Sentence], task: str) -> PRF:
-    """Direct term extraction: argmax mention type over the full enumeration."""
+def _task_kind(task: str) -> str:
     kind = MENTION_TASKS.get(task)
     if kind is None:
         raise ConfigurationError(f"task must be one of {sorted(MENTION_TASKS)}, got {task!r}")
-    gold = {s.id: (s.target_spans() if kind == "target" else s.opinion_spans())
+    return kind
+
+
+def _gold_spans(sentences: Sequence[Sentence], kind: str) -> dict[int, set[Span]]:
+    return {s.id: (s.target_spans() if kind == "target" else s.opinion_spans())
             for s in sentences}
+
+
+def mention_prf(model: SpanModel, sentences: Sequence[Sentence], task: str) -> PRF:
+    """Direct term extraction: argmax mention type over the full enumeration."""
+    kind = _task_kind(task)
     pred = {s.id: model.mention_spans(s.tokens, kind) for s in sentences}
-    return match_span_sets(gold, pred)
+    return match_span_sets(_gold_spans(sentences, kind), pred)
 
 
 def mention_prf_from_triplets(predictions: Mapping[int, Iterable[TripletPrediction]],
                               sentences: Sequence[Sentence], task: str) -> PRF:
     """Term extraction scored from the spans mentioned by predicted triplets."""
-    kind = MENTION_TASKS.get(task)
-    if kind is None:
-        raise ConfigurationError(f"task must be one of {sorted(MENTION_TASKS)}, got {task!r}")
-    gold = {s.id: (s.target_spans() if kind == "target" else s.opinion_spans())
-            for s in sentences}
+    kind = _task_kind(task)
     pred = {sid: {p.target if kind == "target" else p.opinion for p in preds}
             for sid, preds in predictions.items()}
-    return match_span_sets(gold, pred)
+    return match_span_sets(_gold_spans(sentences, kind), pred)
 
 
 def evaluate_model(model: SpanModel, sentences: Sequence[Sentence],
                    modes: Sequence[str] = EVAL_MODES) -> dict:
-    """Triplet PRF per mode (both filter conventions) plus the term-extraction tasks."""
+    """Triplet PRF per mode (both filter conventions) plus the term-extraction tasks.
+
+    One forward pass per sentence feeds the triplets and, with the 3-class
+    mention head, the directly extracted target and opinion spans.
+    """
+    dual = model.config.channel_mode == "dual"
+    predictions: dict[int, list[TripletPrediction]] = {}
+    typed: dict[str, dict[int, set[Span]]] = {kind: {} for kind in MENTION_KINDS}
+    for sentence in sentences:
+        output = model.forward(sentence.tokens)
+        predictions[sentence.id] = decode_triplets(output.pair_spans, output.relation_probs)
+        if dual:
+            for kind, label in MENTION_KINDS.items():
+                typed[kind][sentence.id] = output.argmax_spans(label)
+        # Free this sentence's graph (its pair matrix is ~100 MB at 100 tokens)
+        # before the next forward builds one.
+        del output
     gold = gold_triplet_sets(sentences)
-    predictions = predict_corpus(model, sentences)
     pred_keys = predictions_to_keys(predictions)
     report: dict = {"triplet": {}, "triplet_gold_side_filter": {}}
     for mode in modes:
         report["triplet"][mode] = triplet_prf(gold, pred_keys, mode, "both").as_dict()
         report["triplet_gold_side_filter"][mode] = triplet_prf(
             gold, pred_keys, mode, "gold").as_dict()
-    if model.config.channel_mode == "dual":
+    if dual:
         report["mention_direct"] = {
-            task: mention_prf(model, sentences, task).as_dict()
-            for task in MENTION_TASKS
+            task: match_span_sets(_gold_spans(sentences, kind), typed[kind]).as_dict()
+            for task, kind in MENTION_TASKS.items()
         }
     report["mention_from_triplets"] = {
         task: mention_prf_from_triplets(predictions, sentences, task).as_dict()

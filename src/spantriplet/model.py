@@ -23,6 +23,10 @@ from .pruning import SpanCandidate
 from .triplet import RELATION_CLASSES, TripletPrediction, decode_triplets, pair_distance_bucket
 
 
+# Mention class of each kind of term that direct extraction reads off the 3-class head.
+MENTION_KINDS = {"target": pruning.MENTION_TARGET, "opinion": pruning.MENTION_OPINION}
+
+
 @dataclass
 class ModelConfig:
     """Hyperparameters; defaults are the reference configuration.
@@ -122,6 +126,11 @@ class SentenceOutput:
     def pool_size(self) -> int:
         return len(self.target_pool)
 
+    def argmax_spans(self, label: int) -> set[Span]:
+        """Enumerated spans whose mention argmax is the class ``label``."""
+        winners = self.mention_probs.argmax(axis=1)
+        return {self.spans[i] for i in np.flatnonzero(winners == label).tolist()}
+
 
 class SpanModel:
     """Owns the parameters and runs per-sentence forward passes."""
@@ -202,8 +211,8 @@ class SpanModel:
         mention_probs = ad.softmax_probabilities(mention_logits.data)
 
         candidates = [
-            SpanCandidate(span, i, tuple(mention_probs[i]))
-            for i, span in enumerate(spans)
+            SpanCandidate(span, i, tuple(probs))
+            for i, (span, probs) in enumerate(zip(spans, mention_probs.tolist()))
         ]
         if pools is not None:
             by_index = {c.index: c for c in candidates}
@@ -246,13 +255,9 @@ class SpanModel:
         if self.config.channel_mode != "dual":
             raise ConfigurationError(
                 "direct target/opinion extraction needs the 3-class mention head")
-        wanted = {"target": pruning.MENTION_TARGET,
-                  "opinion": pruning.MENTION_OPINION}.get(kind)
-        if wanted is None:
+        if kind not in MENTION_KINDS:
             raise ConfigurationError(f"kind must be 'target' or 'opinion', got {kind!r}")
-        output = self.forward(tokens)
-        winners = output.mention_probs.argmax(axis=1)
-        return {span for span, label in zip(output.spans, winners) if label == wanted}
+        return self.forward(tokens).argmax_spans(MENTION_KINDS[kind])
 
     # -- persistence ----------------------------------------------------------
 

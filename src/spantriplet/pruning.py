@@ -12,9 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .autodiff import FeedForward, Tensor, softmax_probabilities
 from .encoder import Span
 from .errors import ConfigurationError, DataError
 
@@ -47,16 +44,6 @@ class SpanCandidate:
     @property
     def valid_prob(self) -> float:
         return self.probs[SINGLE_VALID]
-
-
-def mention_scores(ffnn: FeedForward, rep: Tensor, *, training: bool = False,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Mention-type probabilities for a span vector (or a batch of them).
-
-    Detached on purpose: candidate selection is a hard operation, and the
-    scorer trains through its logits, not through these probabilities.
-    """
-    return softmax_probabilities(ffnn(rep, training=training, rng=rng).data)
 
 
 def pool_size(n: int, z: float, n_candidates: int) -> int:

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import FeedForward, Parameter, Tensor
 from .encoder import Span, bucket_index
 
 # Logit layout of the relation scorer. Argmax ties resolve in this order.
@@ -30,22 +28,6 @@ def pair_distance(target: Span, opinion: Span) -> int:
 
 def pair_distance_bucket(target: Span, opinion: Span) -> int:
     return bucket_index(pair_distance(target, opinion))
-
-
-def pair_representation(target_rep: Tensor, opinion_rep: Tensor, target: Span,
-                        opinion: Span,
-                        distance_table: Parameter | None) -> Tensor:
-    """[target vector ; opinion vector ; bucketed distance embedding]."""
-    parts = [target_rep, opinion_rep]
-    if distance_table is not None:
-        parts.append(ad.row(distance_table, pair_distance_bucket(target, opinion)))
-    return ad.concat(parts, axis=0)
-
-
-def relation_scores(ffnn: FeedForward, pair_rep: Tensor, *, training: bool = False,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Relation-class probabilities for a pair vector (or a batch of them)."""
-    return ad.softmax_probabilities(ffnn(pair_rep, training=training, rng=rng).data)
 
 
 @dataclass(frozen=True)
@@ -70,15 +52,14 @@ def decode_triplets(pairs: list[tuple[Span, Span]],
         raise ValueError(
             f"{len(pairs)} pairs but {relation_probs.shape[0]} probability rows"
         )
+    labels = relation_probs.argmax(axis=1)  # first max wins ties, per RELATION_CLASSES order
+    kept = np.flatnonzero(labels != RELATION_INVALID)
     best: dict[tuple[Span, Span], TripletPrediction] = {}
-    for (target, opinion), probs in zip(pairs, relation_probs):
-        label = int(np.argmax(probs))  # first max wins ties, per RELATION_CLASSES order
-        if label == RELATION_INVALID:
-            continue
-        prediction = TripletPrediction(target, opinion, SENTIMENT_TAGS[label],
-                                       float(probs[label]))
-        key = (target, opinion)
-        held = best.get(key)
-        if held is None or prediction.probability > held.probability:
-            best[key] = prediction
+    for p, label, probability in zip(kept.tolist(), labels[kept].tolist(),
+                                     relation_probs[kept, labels[kept]].tolist()):
+        target, opinion = pairs[p]
+        held = best.get((target, opinion))
+        if held is None or probability > held.probability:
+            best[target, opinion] = TripletPrediction(target, opinion, SENTIMENT_TAGS[label],
+                                                      probability)
     return [best[key] for key in sorted(best)]

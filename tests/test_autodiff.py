@@ -7,6 +7,7 @@ from spantriplet.encoder import enumerate_spans
 from spantriplet.errors import (CheckpointError, DimensionError,
                                 TrainingStateError)
 
+import reference_ops as ref
 from fdcheck import max_gradient_error
 
 
@@ -165,9 +166,9 @@ class TestStructuralOps:
 
         def loss():
             picked = ad.rows(m, [0, 2, 2, 4])
-            pooled = ad.reduce_mean(picked, axis=0)
-            peak = ad.reduce_max(ad.narrow(m, 1, 4), axis=0)
-            stacked = ad.stack([pooled, peak, ad.sigmoid(v)], axis=0)
+            pooled = ref.reduce_mean(picked, axis=0)
+            peak = ref.reduce_max(ref.narrow(m, 1, 4), axis=0)
+            stacked = ref.stack([pooled, peak, ad.sigmoid(v), ref.row(m, 3)], axis=0)
             joined = ad.concat([stacked, ad.tanh(stacked)], axis=1)
             return ad.tensor_sum(ad.mul(joined, joined))
 
@@ -175,9 +176,12 @@ class TestStructuralOps:
 
     def test_row_out_of_range(self):
         with pytest.raises(IndexError):
-            ad.row(Tensor(np.zeros((2, 2))), 2)
+            ad.rows(Tensor(np.zeros((2, 2))), [0, 2])
         with pytest.raises(IndexError):
             ad.rows(Tensor(np.zeros((2, 2))), [0, -1])
+        for starts, ends in (([0], [2]), ([-1], [0]), ([1], [0])):
+            with pytest.raises(IndexError):
+                ad.span_pool(Tensor(np.zeros((2, 2))), starts, ends, "max")
 
     def test_repeated_row_gathers_accumulate(self):
         m = Parameter(np.arange(6.0).reshape(3, 2), name="m")
@@ -296,6 +300,28 @@ class TestWeightGradientsAccumulate:
 
 
 class TestBackwardContract:
+    def test_first_gradient_is_a_fresh_positive_zero_buffer(self):
+        # add() hands the same seed array to both inputs; each input must get
+        # its own buffer, and 0.0 + (-0.0) is +0.0 as with zeros plus g.
+        a = Parameter(np.ones(3), name="a")
+        b = Parameter(np.ones(3), name="b")
+        seed = np.array([-0.0, 2.0, -3.0])
+        ad.add(a, b).backward(seed=seed)
+        for x in (a, b):
+            np.testing.assert_array_equal(x.grad, [0.0, 2.0, -3.0])
+            assert not np.signbit(x.grad[0])
+            assert not np.shares_memory(x.grad, seed)
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, [0.0, 2.0, -3.0])
+        np.testing.assert_array_equal(seed, [-0.0, 2.0, -3.0])
+
+    def test_first_gradient_broadcasts_to_the_tensor_shape(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        x._accumulate(np.array([1.0, -0.0, 2.0]))
+        np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 2.0]] * 2)
+        assert not np.signbit(x.grad).any()
+
     def test_detached_input_gets_no_grad_buffer(self):
         x = Parameter([1.0, 2.0], name="x")
         y = Tensor([3.0, 4.0])
@@ -317,6 +343,26 @@ class TestBackwardContract:
         out.backward()
         assert np.isfinite(out.data).all()
         assert np.isfinite(w.grad).all()
+
+
+def reference_sigmoid(d: np.ndarray) -> np.ndarray:
+    """The logistic function split by sign with boolean masks, as an oracle."""
+    s = np.empty_like(d)
+    pos = d >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    s[~pos] = ez / (1.0 + ez)
+    return s
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_masked_reference(self):
+        rng = np.random.default_rng(12)
+        special = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 800.0, -800.0,
+                   np.inf, -np.inf]
+        for d in (rng.normal(scale=4.0, size=1200), rng.normal(scale=40.0, size=32),
+                  np.array(special)):
+            assert ad._sigmoid(d).tobytes() == reference_sigmoid(d).tobytes()
 
 
 def reference_adamw_step(params, first, second, step, lr, weight_decay,

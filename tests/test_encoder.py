@@ -6,6 +6,7 @@ from spantriplet import encoder as enc
 from spantriplet.autodiff import Parameter, Tensor
 from spantriplet.errors import DataError, DimensionError, ParseError
 
+import reference_ops as ref
 from fdcheck import max_gradient_error
 
 
@@ -156,18 +157,18 @@ def _reference_direction(embeddings, cell, reverse):
     order = range(embeddings.shape[0] - 1, -1, -1) if reverse else range(embeddings.shape[0])
     states = []
     for t in order:
-        gates = ad.add(ad.add(ad.matmul(ad.row(embeddings, t), cell.w_ih),
+        gates = ad.add(ad.add(ad.matmul(ref.row(embeddings, t), cell.w_ih),
                               ad.matmul(h, cell.w_hh)), cell.bias)
-        i = ad.sigmoid(ad.narrow(gates, 0, hidden))
-        f = ad.sigmoid(ad.narrow(gates, hidden, 2 * hidden))
-        g = ad.tanh(ad.narrow(gates, 2 * hidden, 3 * hidden))
-        o = ad.sigmoid(ad.narrow(gates, 3 * hidden, 4 * hidden))
+        i = ad.sigmoid(ref.narrow(gates, 0, hidden))
+        f = ad.sigmoid(ref.narrow(gates, hidden, 2 * hidden))
+        g = ad.tanh(ref.narrow(gates, 2 * hidden, 3 * hidden))
+        o = ad.sigmoid(ref.narrow(gates, 3 * hidden, 4 * hidden))
         c = ad.add(ad.mul(f, c), ad.mul(i, g))
         h = ad.mul(o, ad.tanh(c))
         states.append(h)
     if reverse:
         states.reverse()
-    return ad.stack(states, axis=0)
+    return ref.stack(states, axis=0)
 
 
 def reference_bilstm(embeddings, params):
@@ -269,6 +270,10 @@ class TestBuckets:
             enc.bucket_index(-1)
 
 
+def span_vector(h, span, mode, width_table):
+    return enc.span_representation_matrix(h, [span], mode, width_table).data[0]
+
+
 class TestSpanRepresentation:
     def setup_method(self):
         rng = np.random.default_rng(4)
@@ -277,43 +282,134 @@ class TestSpanRepresentation:
 
     def test_singleton_pooling_modes_coincide(self):
         for mode in ("max_pool", "mean_pool"):
-            vec = enc.span_representation(self.h, (2, 2), mode, self.width)
-            np.testing.assert_array_equal(vec.data[:6], self.h.data[2])
+            vec = span_vector(self.h, (2, 2), mode, self.width)
+            np.testing.assert_array_equal(vec[:6], self.h.data[2])
 
     def test_boundary_dimension_arithmetic(self):
-        vec = enc.span_representation(self.h, (1, 3), "boundary", self.width)
+        vec = span_vector(self.h, (1, 3), "boundary", self.width)
         assert vec.shape == (6 + 6 + 2,)
-        np.testing.assert_array_equal(vec.data[:6], self.h.data[1])
-        np.testing.assert_array_equal(vec.data[6:12], self.h.data[3])
+        np.testing.assert_array_equal(vec[:6], self.h.data[1])
+        np.testing.assert_array_equal(vec[6:12], self.h.data[3])
 
     def test_max_pool_picks_elementwise_max(self):
         h = Tensor(np.array([[1.0], [5.0], [3.0]]))
-        vec = enc.span_representation(h, (0, 2), "max_pool", None)
-        np.testing.assert_array_equal(vec.data, [5.0])
+        vec = span_vector(h, (0, 2), "max_pool", None)
+        np.testing.assert_array_equal(vec, [5.0])
 
     def test_width_feature_is_bucketed(self):
         # widths 5, 6, 7 share one bucket so their width vectors are identical
         h = Tensor(np.zeros((10, 4)))
-        vecs = [enc.span_representation(h, (0, w - 1), "boundary", self.width).data[8:]
-                for w in (5, 6, 7)]
+        vecs = [span_vector(h, (0, w - 1), "boundary", self.width)[8:] for w in (5, 6, 7)]
         np.testing.assert_array_equal(vecs[0], vecs[1])
         np.testing.assert_array_equal(vecs[1], vecs[2])
-        four = enc.span_representation(h, (0, 3), "boundary", self.width).data[8:]
+        four = span_vector(h, (0, 3), "boundary", self.width)[8:]
         assert np.any(four != vecs[0])
 
     def test_disabling_width_drops_dimension(self):
-        with_width = enc.span_representation(self.h, (0, 1), "boundary", self.width)
-        without = enc.span_representation(self.h, (0, 1), "boundary", None)
+        with_width = span_vector(self.h, (0, 1), "boundary", self.width)
+        without = span_vector(self.h, (0, 1), "boundary", None)
         assert with_width.shape[0] - without.shape[0] == 2
 
     def test_out_of_range_span(self):
-        with pytest.raises(IndexError):
-            enc.span_representation(self.h, (3, 5), "boundary", self.width)
+        for mode in enc.SPAN_MODES:
+            for span in ((3, 5), (-1, 0), (2, 1)):
+                with pytest.raises(IndexError):
+                    enc.span_representation_matrix(self.h, [(0, 0), span], mode, self.width)
+
+    def test_unknown_mode(self):
+        with pytest.raises(DataError):
+            enc.span_representation_matrix(self.h, [(0, 0)], "sum_pool", self.width)
 
     def test_matrix_matches_single_span_path(self):
         spans = enc.enumerate_spans(5, 2)
         for mode in enc.SPAN_MODES:
             matrix = enc.span_representation_matrix(self.h, spans, mode, self.width)
             for row_ix, span in enumerate(spans):
-                single = enc.span_representation(self.h, span, mode, self.width)
+                single = ref.span_representation(self.h, span, mode, self.width)
                 np.testing.assert_array_equal(matrix.data[row_ix], single.data)
+
+
+class TestSpanMatrixMatchesPerSpanOracle:
+    """The batched span matrix against the per-span composition in ``reference_ops``.
+
+    Hidden states are (n, 2H), so rows are at least two wide. Forward values
+    must agree bitwise and gradients to 1e-12 relative.
+    """
+
+    @staticmethod
+    def _run(build, h, spans, mode, width, seed):
+        for t in (h, width):
+            if t is not None:
+                t.grad = None
+        out = build(h, spans, mode, width)
+        out.backward(seed=seed)
+        return out.data, h.grad.copy(), None if width is None else width.grad.copy()
+
+    @staticmethod
+    def _assert_close(actual, expected):
+        assert np.max(np.abs(actual - expected)) <= 1e-12 * max(np.max(np.abs(expected)),
+                                                                 1e-300)
+
+    @pytest.mark.parametrize("mode", enc.SPAN_MODES)
+    @pytest.mark.parametrize("with_width", [True, False])
+    @pytest.mark.parametrize("n,dim,max_gap", [(1, 2, 8), (6, 4, 8), (9, 3, 0),
+                                               (20, 6, 3), (40, 10, 8)])
+    def test_forward_bitwise_and_gradients(self, mode, with_width, n, dim, max_gap):
+        rng = np.random.default_rng(1000 * n + max_gap)
+        data = rng.normal(size=(n, dim))
+        data[rng.random(size=data.shape) < 0.3] = 0.5  # ties inside max windows
+        h = Tensor(data, requires_grad=True)
+        width = (Parameter(rng.normal(size=(enc.NUM_BUCKETS, 3)), name="width")
+                 if with_width else None)
+        spans = enc.enumerate_spans(n, max_gap)
+        assert {j - i + 1 for i, j in spans} == set(range(1, min(n, max_gap + 1) + 1))
+        dim_out = (2 * dim if mode == "boundary" else dim) + (3 if with_width else 0)
+        seed = rng.normal(size=(len(spans), dim_out))
+        out, h_grad, w_grad = self._run(enc.span_representation_matrix, h, spans, mode,
+                                        width, seed)
+        ref_out, ref_h_grad, ref_w_grad = self._run(ref.span_representation_matrix, h,
+                                                    spans, mode, width, seed)
+        assert out.tobytes() == ref_out.tobytes()
+        self._assert_close(h_grad, ref_h_grad)
+        if with_width:
+            self._assert_close(w_grad, ref_w_grad)
+
+    def test_pooled_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(77)
+        h = Parameter(rng.normal(size=(7, 3)), name="h")
+        width = Parameter(rng.normal(size=(enc.NUM_BUCKETS, 2)), name="width")
+        spans = enc.enumerate_spans(7, 4)
+        weights = Tensor(rng.normal(size=(len(spans), 5)))
+        for mode in ("max_pool", "mean_pool"):
+            def loss():
+                reps = enc.span_representation_matrix(h, spans, mode, width)
+                return ad.tensor_sum(ad.mul(reps, weights))
+
+            assert max_gradient_error(loss, [h, width]) < 1e-7
+
+
+def graph_size(root):
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("mode", ["max_pool", "mean_pool"])
+def test_pooled_loss_graph_size_does_not_grow_with_the_sentence(mode):
+    from spantriplet.data import Sentence
+    from spantriplet.model import ModelConfig, SpanModel
+    from spantriplet.training import compute_loss
+
+    words = [f"w{i}" for i in range(30)]
+    model = SpanModel(ModelConfig(embedding_dim=4, lstm_hidden=3, ffnn_hidden=4,
+                                  width_dim=2, distance_dim=3, span_mode=mode),
+                      enc.Vocabulary.build([words]), seed=0)
+    sizes = [graph_size(compute_loss(model.forward(words[:n]),
+                                     Sentence(0, words[:n], [])).total)
+             for n in (6, 30)]
+    assert sizes[0] == sizes[1]

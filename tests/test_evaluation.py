@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,54 @@ class TestMentionMetrics:
                 fp += len(pred_spans - gold_spans)
                 fn += len(gold_spans - pred_spans)
             assert (prf.tp, prf.fp, prf.fn) == (tp, fp, fn)
+
+
+def reference_report(model, sentences, modes=ev.EVAL_MODES):
+    """``evaluate_model`` composed from one public call per part, as an oracle."""
+    gold = ev.gold_triplet_sets(sentences)
+    predictions = ev.predict_corpus(model, sentences)
+    keys = ev.predictions_to_keys(predictions)
+    report = {side: {mode: ev.triplet_prf(gold, keys, mode, filter_side).as_dict()
+                     for mode in modes}
+              for side, filter_side in (("triplet", "both"),
+                                        ("triplet_gold_side_filter", "gold"))}
+    if model.config.channel_mode == "dual":
+        report["mention_direct"] = {task: ev.mention_prf(model, sentences, task).as_dict()
+                                    for task in ev.MENTION_TASKS}
+    report["mention_from_triplets"] = {
+        task: ev.mention_prf_from_triplets(predictions, sentences, task).as_dict()
+        for task in ev.MENTION_TASKS}
+    return report
+
+
+class TestEvaluateModel:
+    @pytest.mark.parametrize("channel_mode", ["dual", "single"])
+    def test_one_forward_per_sentence_gives_the_composed_report(self, channel_mode):
+        from dataclasses import replace
+
+        fixture = make_fixture(np.random.default_rng(8), 12)
+        model = SpanModel(replace(TEST_CONFIG, channel_mode=channel_mode),
+                          Vocabulary.build(s.tokens for s in fixture), seed=2)
+        # A mention head biased toward targets and opinions makes the direct
+        # term-extraction scores non-trivial.
+        model.mention_ffnn.biases[-1].data[...] = [1.0, 1.0, -1.0][:model.mention_ffnn.out_dim]
+        calls = []
+        forward = model.forward
+
+        def counting_forward(*args, **kwargs):
+            # The previous sentence's graph must be gone before the next one
+            # is built, or peak memory doubles on long sentences.
+            assert all(ref() is None for ref in calls)
+            output = forward(*args, **kwargs)
+            calls.append(weakref.ref(output))
+            return output
+
+        model.forward = counting_forward
+        report = ev.evaluate_model(model, fixture)
+        del model.forward
+        assert len(calls) == len(fixture)
+        assert report == reference_report(model, fixture)
+        assert ("mention_direct" in report) == (channel_mode == "dual")
 
 
 class TestPoolDiagnostics:

@@ -50,14 +50,15 @@ class TestMentionScores:
         out = model.forward(fixture[0].tokens)
         np.testing.assert_allclose(out.mention_probs.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_mention_scores_helper_matches_model_output(self):
+    def test_mention_probabilities_are_the_scorer_softmax_of_span_reps(self):
         fixture = make_fixture(np.random.default_rng(0), 5)
         vocab = Vocabulary.build(s.tokens for s in fixture)
         model = SpanModel(ModelConfig(embedding_dim=6, lstm_hidden=4, ffnn_hidden=5,
                                       width_dim=3, distance_dim=3), vocab, seed=0)
         out = model.forward(fixture[0].tokens)
-        probs = pruning.mention_scores(model.mention_ffnn, out.span_reps)
+        probs = softmax_probabilities(model.mention_ffnn(out.span_reps).data)
         np.testing.assert_allclose(probs, out.mention_probs, atol=1e-14)
+        assert [c.probs for c in out.candidates] == [tuple(p) for p in out.mention_probs]
 
 
 class TestDualChannelPruning:

@@ -46,55 +46,67 @@ class TestRelationScores:
         assert err < 1e-5
 
 
+def tiny_model(use_width_distance=True):
+    from spantriplet.data import make_fixture
+    from spantriplet.encoder import Vocabulary
+    from spantriplet.model import ModelConfig, SpanModel
+
+    fixture = make_fixture(np.random.default_rng(0), 4)
+    vocab = Vocabulary.build(s.tokens for s in fixture)
+    model = SpanModel(ModelConfig(embedding_dim=5, lstm_hidden=3, ffnn_hidden=4,
+                                  width_dim=2, distance_dim=3, lstm_dropout=0.0,
+                                  ffnn_dropout=0.0, use_width_distance=use_width_distance),
+                      vocab, seed=0)
+    return model, fixture[0].tokens
+
+
+def assert_pairs_match_per_pair_path(model, tokens):
+    # The model builds all pair vectors with batched gathers; every row must
+    # equal [target vector ; opinion vector ; distance embedding] built for
+    # that pair alone and fed through the same scorer.
+    from spantriplet.autodiff import Tensor
+
+    out = model.forward(tokens)
+    reps = out.span_reps.data
+    for pair_ix, (t, o) in enumerate(out.pairs):
+        parts = [reps[t.index], reps[o.index]]
+        if model.distance_table is not None:
+            parts.append(model.distance_table.data[tr.pair_distance_bucket(t.span, o.span)])
+        logits = model.relation_ffnn(Tensor(np.concatenate(parts)))
+        np.testing.assert_allclose(out.relation_logits.data[pair_ix], logits.data,
+                                   atol=1e-12)
+
+
 class TestPairRepresentation:
-    def test_layout_is_target_opinion_distance(self):
-        from spantriplet.autodiff import Parameter, Tensor
-
-        t_rep = Tensor([1.0, 2.0])
-        o_rep = Tensor([3.0, 4.0])
-        table = Parameter(np.arange(30.0).reshape(10, 3), name="distance")
-        vec = tr.pair_representation(t_rep, o_rep, (0, 1), (2, 2), table)
-        bucket = tr.pair_distance_bucket((0, 1), (2, 2))
-        np.testing.assert_array_equal(vec.data,
-                                      [1.0, 2.0, 3.0, 4.0, *table.data[bucket]])
-
     def test_without_distance_table(self):
-        from spantriplet.autodiff import Tensor
-
-        vec = tr.pair_representation(Tensor([1.0]), Tensor([2.0]), (0, 0), (1, 1),
-                                     None)
-        np.testing.assert_array_equal(vec.data, [1.0, 2.0])
+        model, tokens = tiny_model(use_width_distance=False)
+        assert model.relation_ffnn.in_dim == 2 * model.config.span_vector_dim
+        assert_pairs_match_per_pair_path(model, tokens)
 
     def test_model_pair_assembly_matches_per_pair_path(self):
-        # The model builds all pair vectors with batched gathers; every row
-        # must equal the one-pair construction fed through the same scorer.
-        from spantriplet import autodiff as ad
-        from spantriplet.data import make_fixture
-        from spantriplet.encoder import Vocabulary
-        from spantriplet.model import ModelConfig, SpanModel
+        model, tokens = tiny_model()
+        assert model.relation_ffnn.in_dim == 2 * model.config.span_vector_dim + 3
+        assert_pairs_match_per_pair_path(model, tokens)
 
-        fixture = make_fixture(np.random.default_rng(0), 4)
-        vocab = Vocabulary.build(s.tokens for s in fixture)
-        model = SpanModel(ModelConfig(embedding_dim=5, lstm_hidden=3, ffnn_hidden=4,
-                                      width_dim=2, distance_dim=3, lstm_dropout=0.0,
-                                      ffnn_dropout=0.0), vocab, seed=0)
-        out = model.forward(fixture[0].tokens)
-        for pair_ix, (t, o) in enumerate(out.pairs):
-            vec = tr.pair_representation(
-                ad.row(out.span_reps, t.index), ad.row(out.span_reps, o.index),
-                t.span, o.span, model.distance_table)
-            logits = model.relation_ffnn(vec)
-            np.testing.assert_allclose(out.relation_logits.data[pair_ix],
-                                       logits.data, atol=1e-12)
+    def test_model_relation_probabilities_sum_to_one(self):
+        model, tokens = tiny_model()
+        probs = model.forward(tokens).relation_probs
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_relation_scores_helper_sums_to_one(self):
-        from spantriplet.autodiff import FeedForward, Tensor
 
-        rng = np.random.default_rng(3)
-        ffnn = FeedForward.create("relation", 6, 4, hidden_dim=4, hidden_layers=2,
-                                  dropout_p=0.0, rng=rng)
-        probs = tr.relation_scores(ffnn, Tensor(rng.normal(size=6)))
-        assert abs(probs.sum() - 1.0) < 1e-12
+def reference_decode(pairs, relation_probs):
+    """``decode_triplets`` as one argmax per row, kept as an oracle."""
+    best = {}
+    for (target, opinion), probs in zip(pairs, relation_probs):
+        label = int(np.argmax(probs))
+        if label == tr.RELATION_INVALID:
+            continue
+        prediction = tr.TripletPrediction(target, opinion, tr.SENTIMENT_TAGS[label],
+                                          float(probs[label]))
+        held = best.get((target, opinion))
+        if held is None or prediction.probability > held.probability:
+            best[target, opinion] = prediction
+    return [best[key] for key in sorted(best)]
 
 
 def probs_for(label_index, confidence=0.9):
@@ -167,6 +179,17 @@ class TestDecodeTriplets:
         assert tr.decode_triplets(pair, probs)[0].sentiment == "POS"
         probs = np.array([[0.2, 0.3, 0.3, 0.2]])
         assert tr.decode_triplets(pair, probs)[0].sentiment == "NEG"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_row_loop_with_ties_and_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        spans = [(0, 0), (1, 2), (3, 3), (4, 6)]
+        pairs = [(spans[rng.integers(4)], spans[rng.integers(4)]) for _ in range(60)]
+        # Probabilities from a few levels force exact ties within and across rows.
+        raw = rng.choice([0.1, 0.2, 0.3], size=(60, 4))
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        assert tr.decode_triplets(pairs, probs) == reference_decode(pairs, probs)
+        assert len(set(pairs)) < len(pairs)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
