@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """A tour of the tensor engine: graph building, backward, and AdamW.
 
-Everything the extraction model computes runs through these few
-primitives, so this is the best place to start reading.
+The extraction model's scorers are stacks of ``linear`` and ``relu``
+nodes trained with ``softmax_nll``; this demo fits a small two-class
+classifier from the same ops, so it is the best place to start reading.
 """
 
 import numpy as np
@@ -10,52 +11,51 @@ import numpy as np
 from spantriplet import autodiff as ad
 from spantriplet.autodiff import AdamW, Parameter, Tensor
 
-# --- forward + backward on a tiny expression -------------------------------
+# --- data: two classes split by a circle ------------------------------------
 
-x = Parameter([1.0, 2.0, 3.0], name="x")
-w = Parameter(np.eye(3) * 0.5, name="w")
-y = ad.tensor_sum(ad.tanh(ad.matmul(w, x)))
-y.backward()
-print("y          =", y.item())
-print("dy/dx      =", x.grad)
-print("dy/dw diag =", np.diag(w.grad))
+rng = np.random.default_rng(0)
+points = rng.normal(size=(200, 2))
+labels = (np.linalg.norm(points, axis=1) > 1.1).astype(int).tolist()
+inputs = Tensor(points)
+
+w0 = Parameter(rng.normal(0.0, 0.5, size=(2, 16)), name="w0")
+b0 = Parameter(np.zeros(16), name="b0")
+w1 = Parameter(rng.normal(0.0, 0.5, size=(16, 2)), name="w1")
+b1 = Parameter(np.zeros(2), name="b1")
+params = [w0, b0, w1, b1]
+
+
+def logits() -> Tensor:
+    return ad.linear(ad.relu(ad.linear(inputs, w0, b0)), w1, b1)
+
+
+# --- forward + backward ------------------------------------------------------
+
+loss = ad.softmax_nll(logits(), labels)
+loss.backward()
+print("summed NLL   =", round(loss.item(), 6))
+print("dL/db1       =", np.round(b1.grad, 6), "(column sums of softmax minus one-hot)")
 
 # A central finite difference on one coordinate agrees with the engine:
 h = 1e-6
-x.data[0] += h
-y_plus = ad.tensor_sum(ad.tanh(ad.matmul(w, x))).item()
-x.data[0] -= 2 * h
-y_minus = ad.tensor_sum(ad.tanh(ad.matmul(w, x))).item()
-x.data[0] += h
-print(f"numeric dy/dx[0] = {(y_plus - y_minus) / (2 * h):.8f}  "
-      f"(engine said {x.grad[0]:.8f})")
+w0.data[0, 0] += h
+loss_plus = ad.softmax_nll(logits(), labels).item()
+w0.data[0, 0] -= 2 * h
+loss_minus = ad.softmax_nll(logits(), labels).item()
+w0.data[0, 0] += h
+print(f"numeric dL/dw0[0,0] = {(loss_plus - loss_minus) / (2 * h):.8f}  "
+      f"(engine said {w0.grad[0, 0]:.8f})")
 
-# --- the classifier loss used everywhere ------------------------------------
+# --- fit the classifier with AdamW -------------------------------------------
 
-logits = Parameter([2.0, -1.0, 0.5], name="logits")
-loss = ad.softmax_nll(logits, 0)
-loss.backward()
-print("\nsoftmax NLL  =", round(loss.item(), 6))
-print("gradient     =", np.round(logits.grad, 6), "(softmax minus one-hot)")
-
-# --- fit a line with AdamW ---------------------------------------------------
-
-rng = np.random.default_rng(0)
-inputs = rng.normal(size=(64, 2))
-targets = inputs @ np.array([3.0, -2.0]) + 0.5
-
-weight = Parameter(np.zeros(2), name="weight")
-bias = Parameter(np.zeros(1), name="bias")
-optimizer = AdamW([weight, bias], lr=0.05)
-for step in range(400):
-    optimizer.zero_grad()
-    pred = ad.add(ad.matmul(Tensor(inputs), weight), bias)
-    err = ad.sub(pred, Tensor(targets))
-    mse = ad.tensor_sum(ad.mul(err, err))
-    mse.backward()
-    optimizer.step()
+optimizer = AdamW(params, lr=0.02)
+optimizer.zero_grad()
+for step in range(301):
+    loss = ad.softmax_nll(logits(), labels)
+    loss.backward()
+    optimizer.step()  # also zeroes the gradients for the next step
     if step % 100 == 0:
-        print(f"step {step:>3}: sse = {mse.item():.5f}")
+        print(f"step {step:>3}: mean NLL = {loss.item() / len(labels):.5f}")
 
-print("fitted weight =", np.round(weight.data, 4), " bias =",
-      round(bias.data[0], 4), " (true: [3, -2], 0.5)")
+accuracy = np.mean(logits().data.argmax(axis=1) == labels)
+print(f"training accuracy = {accuracy:.3f}")

@@ -20,25 +20,12 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from spantriplet.data import atomic_write_text, load_corpus
+from spantriplet.data import atomic_write_text, find_benchmark_split, load_corpus
 from spantriplet.encoder import load_embedding_file
 from spantriplet.model import ModelConfig
 from spantriplet.training import TrainConfig, run_experiment
 
 DATASETS = ("rest14", "lap14", "rest15", "rest16")
-
-
-def find_split(data_dir: str, dataset: str, split: str) -> str:
-    number, domain = dataset[-2:], dataset[:-2]
-    names = {dataset, f"{number}{domain}", f"{domain}{number}"}
-    for entry in os.listdir(data_dir):
-        if entry.lower().replace("_", "").replace("-", "") not in names:
-            continue
-        for filename in (f"{split}_triplets.txt", f"{split}.txt"):
-            path = os.path.join(data_dir, entry, filename)
-            if os.path.exists(path):
-                return path
-    raise FileNotFoundError(f"no {split} file for {dataset} under {data_dir}")
 
 
 def main() -> int:
@@ -63,9 +50,13 @@ def main() -> int:
     train_config = TrainConfig(epochs=args.epochs, seeds=tuple(args.seeds))
     summary = {}
     for dataset in args.datasets:
-        train = load_corpus(find_split(args.data, dataset, "train"))
-        dev = load_corpus(find_split(args.data, dataset, "dev"))
-        test = load_corpus(find_split(args.data, dataset, "test"))
+        splits = []
+        for split in ("train", "dev", "test"):
+            path = find_benchmark_split([args.data], dataset, split)
+            if path is None:
+                raise FileNotFoundError(f"no {split} file for {dataset} under {args.data}")
+            splits.append(load_corpus(path))
+        train, dev, test = splits
         out_dir = os.path.join(args.out, dataset)
         os.makedirs(out_dir, exist_ok=True)
         print(f"== {dataset}: {len(train)} train / {len(dev)} dev / {len(test)} test")

@@ -4,10 +4,15 @@ Everything is float64. Each operation returns a new Tensor holding the
 result plus a closure that routes the output gradient to the inputs;
 ``Tensor.backward()`` replays the closures in reverse topological order.
 The graph is rebuilt on every forward pass, which fits per-sentence
-updates (batch size 1) and keeps no state between examples. Each LSTM
-direction is one op (``lstm``): its input projection is hoisted into one
-GEMM over the sentence and its BPTT backward is written by hand. Max or
-mean pooling over every span of a sentence is one op too (``span_pool``).
+updates (batch size 1) and keeps no state between examples.
+
+The op set is exactly what the model runs: ``rows`` (embedding and pair
+gathers), ``span_pool``, ``concat``, ``lstm``, ``dropout``, ``linear``,
+``relu``, ``softmax_nll`` and the ``add`` that sums the two losses. Each
+LSTM direction is one op: its input projection is hoisted into one GEMM
+over the sentence and its BPTT backward is written by hand. Max or mean
+pooling over every span of a sentence is one op too, and so is each
+affine layer of a scorer.
 A training step allocates little: weight gradients from GEMMs go through a
 product buffer each weight keeps, row gathers scatter their gradient into
 the existing buffer, and AdamW updates in place, block by block.
@@ -119,31 +124,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Operator sugar; scalars and arrays are lifted to constants.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -163,10 +143,6 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def _make(data: np.ndarray, parents: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
@@ -177,105 +153,44 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...],
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to ``shape`` after numpy broadcasting."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    squeeze = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if squeeze:
-        g = g.sum(axis=squeeze, keepdims=True)
-    return g.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# Elementwise arithmetic
-# ---------------------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _make(-a.data, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra and structure
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D/2-D operands with numpy semantics."""
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise DimensionError(f"matmul: only 1-D/2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    data = a.data @ b.data
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Sum of two same-shape tensors; the model adds its two loss terms."""
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
 
     def backward(g: np.ndarray) -> None:
-        if a.ndim == 2 and b.ndim == 2:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate_product(a.data.T, g)
-            return
-        if a.ndim == 2 and b.ndim == 1:
-            ga, gb = np.outer(g, b.data), a.data.T @ g
-        elif a.ndim == 1 and b.ndim == 2:
-            ga, gb = b.data @ g, np.outer(a.data, g)
-        else:
-            ga, gb = g * b.data, g * a.data
-        if a.requires_grad:
-            a._accumulate(ga)
-        if b.requires_grad:
-            b._accumulate(gb)
+        for t in (a, b):
+            if t.requires_grad:
+                t._accumulate(g)
 
-    return _make(data, (a, b), backward)
+    return _make(a.data + b.data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine layer ``x @ w + b`` over (N, in) rows as one node.
+
+    Backward sends ``g @ w.T`` to ``x``, ``x.T @ g`` to ``w`` through its
+    product buffer, and the column sums of ``g`` to ``b``.
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear: (N, in) rows, (in, out) weight and (out,) bias "
+                             f"needed, got {x.shape}, {w.shape} and {b.shape}")
+    data = x.data @ w.data
+    data += b.data
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate_product(x.data.T, g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return _make(data, (x, w, b), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -422,26 +337,6 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
     return np.where(d >= 0, 1.0 / den, e / den)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * s * (1.0 - s))
-
-    return _make(s, (x,), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * (1.0 - t * t))
-
-    return _make(t, (x,), backward)
-
-
 def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
          reverse: bool = False) -> Tensor:
     """One LSTM direction over an (n, E) sequence as a single graph node.
@@ -536,34 +431,21 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
     return _make(x.data * mask, (x,), backward)
 
 
-def tensor_sum(x: Tensor) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.data, float(g)))
+def softmax_nll(logits: Tensor, gold: Sequence[int]) -> Tensor:
+    """Summed negative log-likelihood of each row's gold class under softmax.
 
-    return _make(np.asarray(x.data.sum()), (x,), backward)
-
-
-def softmax_nll(logits: Tensor, gold) -> Tensor:
-    """Negative log-likelihood of the gold class under softmax(logits).
-
-    ``logits`` may be a (C,) vector with an int ``gold``, or an (N, C)
-    matrix with a length-N index sequence; the matrix form returns the
-    summed loss. Computed with max-subtraction so huge logits do not
-    overflow; the gradient is softmax minus the one-hot gold.
+    ``logits`` is an (N, C) matrix and ``gold`` holds N class indices.
+    Computed with max-subtraction so huge logits do not overflow; the
+    gradient is softmax minus the one-hot gold.
     """
-    if logits.ndim == 1:
-        mat = logits.data[None, :]
-        golds = np.asarray([gold], dtype=np.intp)
-    elif logits.ndim == 2:
-        mat = logits.data
-        golds = np.asarray(list(gold), dtype=np.intp)
-        if golds.shape[0] != mat.shape[0]:
-            raise DimensionError(
-                f"softmax_nll: {mat.shape[0]} rows but {golds.shape[0]} gold labels"
-            )
-    else:
-        raise DimensionError(f"softmax_nll: logits must be 1-D or 2-D, got {logits.shape}")
+    if logits.ndim != 2:
+        raise DimensionError(f"softmax_nll: logits must be (N, C), got {logits.shape}")
+    mat = logits.data
+    golds = np.asarray(list(gold), dtype=np.intp)
+    if golds.shape[0] != mat.shape[0]:
+        raise DimensionError(
+            f"softmax_nll: {mat.shape[0]} rows but {golds.shape[0]} gold labels"
+        )
     n_class = mat.shape[1]
     if golds.size and (golds.min() < 0 or golds.max() >= n_class):
         raise IndexError(f"gold class out of range [0, {n_class}): {golds.tolist()}")
@@ -580,7 +462,7 @@ def softmax_nll(logits: Tensor, gold) -> Tensor:
             grad = probs.copy()
             grad[rows_ix, golds] -= 1.0
             grad *= float(g)
-            logits._accumulate(grad[0] if logits.ndim == 1 else grad)
+            logits._accumulate(grad)
 
     return _make(data, (logits,), backward)
 
@@ -614,8 +496,8 @@ def xavier_init(shape: Sequence[int], rng: np.random.Generator) -> Tensor:
 class FeedForward:
     """Linear layers with ReLU and inverted dropout after each hidden layer.
 
-    Weights are (in, out) oriented so the block accepts a (d,) vector or
-    an (N, d) batch transparently. The output layer is linear.
+    Maps an (N, in) batch of rows to (N, out) with one ``linear`` node per
+    layer; weights are (in, out) oriented. The output layer is linear.
     """
 
     def __init__(self, weights: list[Parameter], biases: list[Parameter],
@@ -648,14 +530,10 @@ class FeedForward:
 
     def __call__(self, x: Tensor, *, training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise DimensionError(
-                f"feed-forward expects width {self.in_dim}, got input shape {x.shape}"
-            )
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = add(matmul(h, w), b)
+            h = linear(h, w, b)
             if i < last:
                 h = relu(h)
                 h = dropout(h, self.dropout_p, rng, training)

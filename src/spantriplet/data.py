@@ -127,6 +127,27 @@ def load_corpus(path: str) -> list[Sentence]:
     return sentences
 
 
+def find_benchmark_split(roots: Iterable[str], dataset: str, split: str) -> str | None:
+    """Path of a released benchmark split under the first root that has it, else None.
+
+    Accepts the layouts <root>/<dataset>/<split>_triplets.txt and
+    <root>/<dataset>/<split>.txt, with the dataset spelled e.g. rest14 or 14res.
+    """
+    number, domain = dataset[-2:], dataset[:-2]
+    names = {dataset, f"{number}{domain}", f"{domain}{number}"}
+    for root in roots:
+        if not os.path.isdir(root):
+            continue
+        for entry in os.listdir(root):
+            if entry.lower().replace("_", "").replace("-", "") not in names:
+                continue
+            for filename in (f"{split}_triplets.txt", f"{split}.txt"):
+                path = os.path.join(root, entry, filename)
+                if os.path.exists(path):
+                    return path
+    return None
+
+
 def atomic_write_text(path: str, content: str) -> None:
     """Write via temp file + rename so interrupted runs never leave truncated files."""
     directory = os.path.dirname(os.path.abspath(path))

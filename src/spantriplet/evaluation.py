@@ -19,7 +19,6 @@ from .data import Sentence
 from .encoder import Span, span_width
 from .errors import ConfigurationError, DataError
 from .model import MENTION_KINDS, SpanModel
-from .pruning import pool_size, prune_dual_channel, prune_single_channel
 from .triplet import TripletPrediction, decode_triplets
 
 TripletKey = tuple[Span, Span, str]
@@ -211,34 +210,21 @@ def render_prf_table(rows: Mapping[str, Mapping[str, float]]) -> str:
 # Pruning diagnostics and sweep
 # ---------------------------------------------------------------------------
 
-def pool_diagnostics(model: SpanModel, sentences: Sequence[Sentence],
-                     z: float | None = None) -> list[dict]:
-    """Per-sentence pool record: n, k, pool contents, gold recall inside each pool.
-
-    ``z`` overrides the model's threshold so one trained model can be
-    re-pruned at several settings.
-    """
-    effective_z = model.config.z if z is None else z
+def pool_diagnostics(model: SpanModel, sentences: Sequence[Sentence]) -> list[dict]:
+    """Per-sentence pool record: n, k, pool contents, gold recall inside each pool."""
     records = []
     for sentence in sentences:
         output = model.forward(sentence.tokens)
-        n = len(sentence.tokens)
-        k = pool_size(n, effective_z, len(output.candidates))
-        if effective_z == model.config.z:
-            target_pool, opinion_pool = output.target_pool, output.opinion_pool
-        elif model.config.channel_mode == "dual":
-            target_pool, opinion_pool = prune_dual_channel(output.candidates, n,
-                                                           effective_z)
-        else:
-            pool = prune_single_channel(output.candidates, n, effective_z)
-            target_pool, opinion_pool = pool, pool
-        target_spans = {c.span for c in target_pool}
-        opinion_spans = {c.span for c in opinion_pool}
+        k = output.pool_size
+        target_spans = {c.span for c in output.target_pool}
+        opinion_spans = {c.span for c in output.opinion_pool}
+        # Free this sentence's graph before the next forward builds one.
+        del output
         gold_t = sentence.target_spans()
         gold_o = sentence.opinion_spans()
         records.append({
             "sentence": sentence.id,
-            "n": n,
+            "n": len(sentence.tokens),
             "k": k,
             "target_pool": sorted(list(s) for s in target_spans),
             "opinion_pool": sorted(list(s) for s in opinion_spans),
@@ -309,10 +295,9 @@ def prune_sweep(train: Sequence[Sentence], dev: Sequence[Sentence], model_config
             effective_z = 2 * z if mode == "sc_adjusted" else z
             config = replace(model_config, z=effective_z, channel_mode=channel)
             model = SpanModel(config, vocab, seed=seed)
-            _, best_epoch, best_state = train_single_seed(
+            curve, best_epoch, best_state = train_single_seed(
                 model, train, dev, train_config, seed, log_progress)
             model.load_state_arrays(best_state)
-            prf = triplet_prf_for_model(model, dev)
             records = pool_diagnostics(model, dev)
             for record in records:
                 record.update({"z": z, "mode": mode})
@@ -323,7 +308,7 @@ def prune_sweep(train: Sequence[Sentence], dev: Sequence[Sentence], model_config
             gold_o = sum(r["gold_opinions"] for r in records)
             kept_o = sum(r["gold_opinions_kept"] for r in records)
             rows.append(SweepRow(
-                z=z, mode=mode, effective_z=effective_z, dev_f1=prf.f1,
+                z=z, mode=mode, effective_z=effective_z, dev_f1=curve[best_epoch],
                 mean_pool_size=float(np.mean(k_values)),
                 mean_pair_count=float(np.mean([k * k for k in k_values])),
                 target_recall=kept_t / gold_t if gold_t else 0.0,

@@ -41,10 +41,6 @@ class SpanCandidate:
     def opinion_prob(self) -> float:
         return self.probs[MENTION_OPINION]
 
-    @property
-    def valid_prob(self) -> float:
-        return self.probs[SINGLE_VALID]
-
 
 def pool_size(n: int, z: float, n_candidates: int) -> int:
     """k = min(ceil(n * z), number of candidates); ceil keeps k >= 1."""

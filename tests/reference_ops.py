@@ -1,9 +1,10 @@
 """Elementary ops and the per-span pooling path, kept as test oracles.
 
 The library builds span vectors with one ``ad.span_pool`` node per
-sentence and each LSTM direction as one ``ad.lstm`` node. These are the
-per-row and per-slice ops the older compositions were made of; the tests
-rebuild those compositions from them and compare.
+sentence, each LSTM direction as one ``ad.lstm`` node and each scorer
+layer as one ``ad.linear`` node. These are the elementwise, per-row and
+per-slice ops the older compositions were made of; the tests rebuild
+those compositions from them and compare.
 """
 
 import numpy as np
@@ -12,6 +13,78 @@ from spantriplet import autodiff as ad
 from spantriplet import encoder as enc
 from spantriplet.autodiff import Tensor
 from spantriplet.errors import DataError, DimensionError
+
+
+def matmul(a, b):
+    """Matrix product for 1-D/2-D operands with numpy semantics."""
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+        raise DimensionError(f"matmul: only 1-D/2-D operands, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[0]:
+        raise DimensionError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
+    data = a.data @ b.data
+
+    def backward(g):
+        if a.ndim == 2 and b.ndim == 2:
+            if a.requires_grad:
+                a._accumulate(g @ b.data.T)
+            if b.requires_grad:
+                b._accumulate_product(a.data.T, g)
+            return
+        if a.ndim == 2 and b.ndim == 1:
+            ga, gb = np.outer(g, b.data), a.data.T @ g
+        elif a.ndim == 1 and b.ndim == 2:
+            ga, gb = b.data @ g, np.outer(a.data, g)
+        else:
+            ga, gb = g * b.data, g * a.data
+        if a.requires_grad:
+            a._accumulate(ga)
+        if b.requires_grad:
+            b._accumulate(gb)
+
+    return ad._make(data, (a, b), backward)
+
+
+def mul(a, b):
+    """Elementwise product of two same-shape tensors."""
+    if a.shape != b.shape:
+        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} differ")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
+
+    return ad._make(a.data * b.data, (a, b), backward)
+
+
+def sigmoid(x):
+    s = ad._sigmoid(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * s * (1.0 - s))
+
+    return ad._make(s, (x,), backward)
+
+
+def tanh(x):
+    t = np.tanh(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * (1.0 - t * t))
+
+    return ad._make(t, (x,), backward)
+
+
+def tensor_sum(x):
+    """Sum of all entries as a scalar."""
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(np.full_like(x.data, float(g)))
+
+    return ad._make(np.asarray(x.data.sum()), (x,), backward)
 
 
 def stack(tensors, axis=0):

@@ -15,8 +15,8 @@ import pytest
 
 from spantriplet import evaluation as ev
 from spantriplet import pruning
-from spantriplet.data import (GoldTriplet, Sentence, dataset_stats, load_corpus,
-                              make_fixture)
+from spantriplet.data import (GoldTriplet, Sentence, dataset_stats, find_benchmark_split,
+                              load_corpus, make_fixture)
 from spantriplet.encoder import Vocabulary, enumerate_spans
 from spantriplet.model import ModelConfig, SpanModel
 from spantriplet.pruning import SpanCandidate
@@ -290,32 +290,12 @@ def test_criterion_6_memorization():
              f"F1=1.0 at epoch {first_epoch}, bitwise replay, {elapsed:.1f}s")
 
 
-def _find_official_corpus(dataset: str, split: str):
-    """Look for the released benchmark files under $SPANTRIPLET_DATA or ./data.
-
-    Accepts the common layouts <dir>/<dataset>/<split>_triplets.txt and
-    <dir>/<dataset>/<split>.txt with dataset spelled e.g. rest14 or 14res.
-    """
+def test_criterion_7_official_dataset_statistics():
+    # The released files, under $SPANTRIPLET_DATA or ./data (see README).
     roots = [p for p in (os.environ.get("SPANTRIPLET_DATA"),
                          os.path.join(ROOT, "data")) if p]
-    number, domain = dataset[-2:], dataset[:-2]
-    names = {dataset, f"{number}{domain}", f"{domain}{number}"}
-    for root in roots:
-        if not os.path.isdir(root):
-            continue
-        for entry in os.listdir(root):
-            if entry.lower().replace("_", "").replace("-", "") not in names:
-                continue
-            for filename in (f"{split}_triplets.txt", f"{split}.txt"):
-                path = os.path.join(root, entry, filename)
-                if os.path.exists(path):
-                    return path
-    return None
-
-
-def test_criterion_7_official_dataset_statistics():
-    rest14_test = _find_official_corpus("rest14", "test")
-    lap14_train = _find_official_corpus("lap14", "train")
+    rest14_test = find_benchmark_split(roots, "rest14", "test")
+    lap14_train = find_benchmark_split(roots, "lap14", "train")
     if rest14_test is None or lap14_train is None:
         pytest.skip("official benchmark files not supplied "
                     "(set SPANTRIPLET_DATA; see README)")
@@ -332,7 +312,7 @@ def test_criterion_7_official_dataset_statistics():
     announce(7, "official dataset statistics", f"{elapsed:.2f}s")
 
 
-def test_official_corpus_finder_resolves_common_layouts(tmp_path, monkeypatch):
+def test_official_corpus_finder_resolves_common_layouts(tmp_path):
     # not a numbered criterion: keeps the conditional path above honest
     layout_a = tmp_path / "rest14"
     layout_a.mkdir()
@@ -340,11 +320,11 @@ def test_official_corpus_finder_resolves_common_layouts(tmp_path, monkeypatch):
     layout_b = tmp_path / "14lap"
     layout_b.mkdir()
     (layout_b / "train.txt").write_text("ok .####[]\n")
-    monkeypatch.setenv("SPANTRIPLET_DATA", str(tmp_path))
-    assert _find_official_corpus("rest14", "test") == str(
+    roots = [str(tmp_path / "missing"), str(tmp_path)]
+    assert find_benchmark_split(roots, "rest14", "test") == str(
         layout_a / "test_triplets.txt")
-    assert _find_official_corpus("lap14", "train") == str(layout_b / "train.txt")
-    assert _find_official_corpus("rest15", "test") is None
+    assert find_benchmark_split(roots, "lap14", "train") == str(layout_b / "train.txt")
+    assert find_benchmark_split(roots, "rest15", "test") is None
 
 
 def test_criterion_8_ablation_plumbing():

@@ -1,11 +1,18 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from spantriplet import autodiff as ad
 from spantriplet.autodiff import AdamW, FeedForward, Parameter, Tensor
-from spantriplet.encoder import enumerate_spans
+from spantriplet.data import make_fixture
+from spantriplet.encoder import SPAN_MODES, Vocabulary, enumerate_spans
 from spantriplet.errors import (CheckpointError, DimensionError,
                                 TrainingStateError)
+from spantriplet.model import ModelConfig, SpanModel
+from spantriplet.pruning import CHANNEL_MODES
+from spantriplet.training import TrainConfig, make_optimizer, train_epoch
 
 import reference_ops as ref
 from fdcheck import max_gradient_error
@@ -15,16 +22,16 @@ class TestMatmul:
     def test_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor([[2.0, 3.0], [4.0, 5.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).data, b.data)
+        np.testing.assert_array_equal(ref.matmul(a, b).data, b.data)
 
     def test_zero(self):
         a = Tensor([[1.0, 2.0]])
         b = Tensor([[0.0], [0.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).data, [[0.0]])
+        np.testing.assert_array_equal(ref.matmul(a, b).data, [[0.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            ref.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -33,15 +40,38 @@ class TestMatmul:
         # Weighted sum keeps the output scalar without symmetry artifacts.
         w = rng.normal(size=(3, 2))
         err = max_gradient_error(
-            lambda: ad.tensor_sum(ad.mul(ad.matmul(a, b), Tensor(w))), [a, b])
+            lambda: ref.tensor_sum(ref.mul(ref.matmul(a, b), Tensor(w))), [a, b])
         assert err < 1e-6
 
     def test_matvec_gradients(self):
         rng = np.random.default_rng(1)
         a = Parameter(rng.normal(size=(3, 4)), name="a")
         x = Parameter(rng.normal(size=4), name="x")
-        err = max_gradient_error(lambda: ad.tensor_sum(ad.matmul(a, x)), [a, x])
+        err = max_gradient_error(lambda: ref.tensor_sum(ref.matmul(a, x)), [a, x])
         assert err < 1e-6
+
+
+class TestLinear:
+    def test_direct_definition(self):
+        rng = np.random.default_rng(2)
+        x = Parameter(rng.normal(size=(5, 4)), name="x")
+        w = Parameter(rng.normal(size=(4, 3)), name="w")
+        b = Parameter(rng.normal(size=3), name="b")
+        out = ad.linear(x, w, b)
+        assert out.data.tobytes() == (x.data @ w.data + b.data).tobytes()
+        g = rng.normal(size=(5, 3))
+        out.backward(seed=g)
+        assert x.grad.tobytes() == (g @ w.data.T).tobytes()
+        assert w.grad.tobytes() == (x.data.T @ g).tobytes()
+        assert b.grad.tobytes() == g.sum(axis=0).tobytes()
+
+    def test_shape_mismatch_names_all_shapes(self):
+        w, b = Tensor(np.zeros((3, 2))), Tensor(np.zeros(2))
+        for x in (Tensor(np.zeros((4, 2))), Tensor(np.zeros(3))):
+            with pytest.raises(DimensionError, match=re.escape(f"{x.shape}, (3, 2) and (2,)")):
+                ad.linear(x, w, b)
+        with pytest.raises(DimensionError):
+            ad.linear(Tensor(np.zeros((4, 3))), w, Tensor(np.zeros(3)))
 
 
 class TestConcat:
@@ -57,13 +87,27 @@ class TestConcat:
     def test_gradient_is_ones_under_sum(self):
         a = Parameter([1.0, 2.0], name="a")
         b = Parameter([3.0, 4.0, 5.0], name="b")
-        ad.tensor_sum(ad.concat([a, b], axis=0)).backward()
+        ref.tensor_sum(ad.concat([a, b], axis=0)).backward()
         np.testing.assert_array_equal(a.grad, np.ones(2))
         np.testing.assert_array_equal(b.grad, np.ones(3))
 
     def test_incompatible_shapes(self):
         with pytest.raises(DimensionError):
             ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
+
+
+def record_ops(monkeypatch):
+    """List that receives the op name of every graph node built from now on."""
+    made = []
+    make = ad._make
+
+    def recording_make(data, parents, backward):
+        # An op's backward closure is named "<op>.<locals>.backward".
+        made.append(backward.__qualname__.split(".")[0])
+        return make(data, parents, backward)
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    return made
 
 
 class TestFeedForward:
@@ -75,12 +119,12 @@ class TestFeedForward:
         ffnn = self.make(np.random.default_rng(0))
         for p in ffnn.parameters():
             p.data[...] = 0.0
-        out = ffnn(Tensor(np.random.default_rng(1).normal(size=10)))
-        np.testing.assert_array_equal(out.data, np.zeros(3))
+        out = ffnn(Tensor(np.random.default_rng(1).normal(size=(1, 10))))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
 
     def test_zero_dropout_train_equals_eval(self):
         ffnn = self.make(np.random.default_rng(0), dropout=0.0)
-        x = Tensor(np.random.default_rng(1).normal(size=10))
+        x = Tensor(np.random.default_rng(1).normal(size=(1, 10)))
         train = ffnn(x, training=True, rng=np.random.default_rng(2))
         infer = ffnn(x, training=False)
         np.testing.assert_array_equal(train.data, infer.data)
@@ -88,48 +132,61 @@ class TestFeedForward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         ffnn = self.make(rng)
-        x = Tensor(rng.normal(size=10))
-        err = max_gradient_error(lambda: ad.tensor_sum(ffnn(x)), ffnn.parameters())
+        x = Tensor(rng.normal(size=(1, 10)))
+        err = max_gradient_error(lambda: ref.tensor_sum(ffnn(x)), ffnn.parameters())
         assert err < 1e-5
 
     def test_width_mismatch(self):
         ffnn = self.make(np.random.default_rng(0))
-        with pytest.raises(DimensionError):
-            ffnn(Tensor(np.zeros(7)))
+        for bad in ((1, 7), (10,)):
+            with pytest.raises(DimensionError):
+                ffnn(Tensor(np.zeros(bad)))
+
+    def test_one_linear_node_per_layer(self, monkeypatch):
+        ffnn = self.make(np.random.default_rng(0), dropout=0.5)
+        made = record_ops(monkeypatch)
+        ffnn(Tensor(np.zeros((2, 10))), training=True, rng=np.random.default_rng(1))
+        assert made == ["linear", "relu", "dropout"] * 2 + ["linear"]
 
 
 class TestSoftmaxNll:
     def test_uniform_symmetry(self):
-        loss = ad.softmax_nll(Tensor([0.0, 0.0, 0.0]), 0)
+        loss = ad.softmax_nll(Tensor([[0.0, 0.0, 0.0]]), [0])
         assert loss.item() == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_stability_with_huge_logit(self):
-        loss = ad.softmax_nll(Tensor([1000.0, 0.0]), 0)
+        loss = ad.softmax_nll(Tensor([[1000.0, 0.0]]), [0])
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(0.0, abs=1e-300)
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(4)
-        logits = Parameter(rng.normal(size=4), name="logits")
-        ad.softmax_nll(logits, 2).backward()
+        logits = Parameter(rng.normal(size=(1, 4)), name="logits")
+        ad.softmax_nll(logits, [2]).backward()
         probs = np.exp(logits.data) / np.exp(logits.data).sum()
         expected = probs.copy()
-        expected[2] -= 1.0
+        expected[0, 2] -= 1.0
         np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
-        err = max_gradient_error(lambda: ad.softmax_nll(logits, 2), [logits])
+        err = max_gradient_error(lambda: ad.softmax_nll(logits, [2]), [logits])
         assert err < 1e-6
 
     def test_batched_form_sums_rows(self):
         rng = np.random.default_rng(5)
         logits = Tensor(rng.normal(size=(3, 4)))
         total = ad.softmax_nll(logits, [0, 1, 3]).item()
-        per_row = sum(ad.softmax_nll(Tensor(logits.data[i]), g).item()
+        per_row = sum(ad.softmax_nll(Tensor(logits.data[i:i + 1]), [g]).item()
                       for i, g in enumerate([0, 1, 3]))
         assert total == pytest.approx(per_row, rel=1e-12)
 
     def test_gold_out_of_range(self):
         with pytest.raises(IndexError):
-            ad.softmax_nll(Tensor([0.0, 0.0]), 2)
+            ad.softmax_nll(Tensor([[0.0, 0.0]]), [2])
+
+    def test_needs_one_gold_label_per_row_of_a_matrix(self):
+        with pytest.raises(DimensionError):
+            ad.softmax_nll(Tensor([0.0, 0.0]), [1])
+        with pytest.raises(DimensionError):
+            ad.softmax_nll(Tensor(np.zeros((2, 3))), [1])
 
 
 class TestDropout:
@@ -148,7 +205,7 @@ class TestDropout:
     def test_gradient_equals_mask(self):
         x = Parameter(np.ones(1000), name="x")
         out = ad.dropout(x, 0.5, np.random.default_rng(7), training=True)
-        ad.tensor_sum(out).backward()
+        ref.tensor_sum(out).backward()
         np.testing.assert_array_equal(x.grad, out.data)
 
     def test_seeded_masks_are_deterministic(self):
@@ -168,9 +225,9 @@ class TestStructuralOps:
             picked = ad.rows(m, [0, 2, 2, 4])
             pooled = ref.reduce_mean(picked, axis=0)
             peak = ref.reduce_max(ref.narrow(m, 1, 4), axis=0)
-            stacked = ref.stack([pooled, peak, ad.sigmoid(v), ref.row(m, 3)], axis=0)
-            joined = ad.concat([stacked, ad.tanh(stacked)], axis=1)
-            return ad.tensor_sum(ad.mul(joined, joined))
+            stacked = ref.stack([pooled, peak, ref.sigmoid(v), ref.row(m, 3)], axis=0)
+            joined = ad.concat([stacked, ref.tanh(stacked)], axis=1)
+            return ref.tensor_sum(ref.mul(joined, joined))
 
         assert max_gradient_error(loss, [m, v]) < 1e-6
 
@@ -185,14 +242,15 @@ class TestStructuralOps:
 
     def test_repeated_row_gathers_accumulate(self):
         m = Parameter(np.arange(6.0).reshape(3, 2), name="m")
-        ad.tensor_sum(ad.rows(m, [1, 1, 0])).backward()
+        ref.tensor_sum(ad.rows(m, [1, 1, 0])).backward()
         np.testing.assert_array_equal(m.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
     def test_broadcast_bias_gradient(self):
         rng = np.random.default_rng(10)
         x = Parameter(rng.normal(size=(4, 3)), name="x")
-        b = Parameter(rng.normal(size=3), name="b")
-        err = max_gradient_error(lambda: ad.tensor_sum(ad.add(x, b)), [x, b])
+        w = Parameter(rng.normal(size=(3, 2)), name="w")
+        b = Parameter(rng.normal(size=2), name="b")
+        err = max_gradient_error(lambda: ref.tensor_sum(ad.linear(x, w, b)), [x, w, b])
         assert err < 1e-8
 
 
@@ -245,7 +303,7 @@ class TestRowsBackwardMatchesAddAt:
 
     def test_empty_gather_still_allocates_the_gradient(self):
         x = Parameter(np.ones((3, 2)), name="x")
-        ad.tensor_sum(ad.concat([ad.rows(x, []), Tensor(np.ones((1, 2)))], axis=0)).backward()
+        ref.tensor_sum(ad.concat([ad.rows(x, []), Tensor(np.ones((1, 2)))], axis=0)).backward()
         np.testing.assert_array_equal(x.grad, np.zeros((3, 2)))
 
     def test_gather_returns_a_copy(self):
@@ -258,28 +316,35 @@ class TestRowsBackwardMatchesAddAt:
 class TestWeightGradientsAccumulate:
     """A second backward without zero_grad adds, never overwrites."""
 
-    def test_matmul_weight_gradient_doubles(self):
+    def test_linear_weight_gradient_doubles(self):
         rng = np.random.default_rng(23)
         w = Parameter(rng.normal(size=(4, 3)), name="w")
+        b = Parameter(rng.normal(size=3), name="b")
         x = Tensor(rng.normal(size=(5, 4)))
 
         def loss():
-            return ad.tensor_sum(ad.relu(ad.matmul(x, w)))
+            return ref.tensor_sum(ad.relu(ad.linear(x, w, b)))
 
         loss().backward()
         once = w.grad.copy()
-        np.testing.assert_allclose(once, x.data.T @ (x.data @ w.data > 0), rtol=1e-13)
+        active = x.data @ w.data + b.data > 0
+        np.testing.assert_allclose(once, x.data.T @ active, rtol=1e-13)
+        np.testing.assert_array_equal(b.grad, active.sum(axis=0))
         loss().backward()
         np.testing.assert_array_equal(w.grad, 2.0 * once)
+        np.testing.assert_array_equal(b.grad, 2.0 * active.sum(axis=0))
 
-    def test_matmul_weight_gradients_of_two_consumers_add(self):
+    def test_linear_weight_gradients_of_two_consumers_add(self):
         rng = np.random.default_rng(26)
         w = Parameter(rng.normal(size=(4, 3)), name="w")
+        b = Parameter(rng.normal(size=3), name="b")
         x1, x2 = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(2, 4)))
-        ad.add(ad.tensor_sum(ad.matmul(x1, w)),
-               ad.tensor_sum(ad.relu(ad.matmul(x2, w)))).backward()
-        expected = x1.data.T @ np.ones((5, 3)) + x2.data.T @ (x2.data @ w.data > 0)
+        ad.add(ref.tensor_sum(ad.linear(x1, w, b)),
+               ref.tensor_sum(ad.relu(ad.linear(x2, w, b)))).backward()
+        active = x2.data @ w.data + b.data > 0
+        expected = x1.data.T @ np.ones((5, 3)) + x2.data.T @ active
         np.testing.assert_allclose(w.grad, expected, rtol=1e-13)
+        np.testing.assert_array_equal(b.grad, 5.0 + active.sum(axis=0))
 
     def test_lstm_weight_gradients_double(self):
         rng = np.random.default_rng(24)
@@ -290,7 +355,7 @@ class TestWeightGradientsAccumulate:
         weights = Tensor(rng.normal(size=(5, 2)))
 
         def loss():
-            return ad.tensor_sum(ad.mul(ad.lstm(x, w_ih, w_hh, bias, reverse=True), weights))
+            return ref.tensor_sum(ref.mul(ad.lstm(x, w_ih, w_hh, bias, reverse=True), weights))
 
         loss().backward()
         once = [w_ih.grad.copy(), w_hh.grad.copy()]
@@ -325,13 +390,13 @@ class TestBackwardContract:
     def test_detached_input_gets_no_grad_buffer(self):
         x = Parameter([1.0, 2.0], name="x")
         y = Tensor([3.0, 4.0])
-        ad.tensor_sum(ad.mul(x, y)).backward()
+        ref.tensor_sum(ref.mul(x, y)).backward()
         assert y.grad is None
         np.testing.assert_array_equal(x.grad, y.data)
 
     def test_fully_detached_graph_is_a_no_op(self):
         x = Tensor([1.0])
-        out = ad.tensor_sum(x)
+        out = ref.tensor_sum(x)
         out.backward()
         assert out.grad is None and x.grad is None
 
@@ -339,10 +404,35 @@ class TestBackwardContract:
         rng = np.random.default_rng(11)
         w = Parameter(rng.normal(size=(6, 6)), name="w")
         x = Tensor(rng.normal(size=(6, 6)))
-        out = ad.tensor_sum(ad.sigmoid(ad.matmul(ad.tanh(ad.matmul(x, w)), w)))
+        out = ref.tensor_sum(ref.sigmoid(ref.matmul(ref.tanh(ref.matmul(x, w)), w)))
         out.backward()
         assert np.isfinite(out.data).all()
         assert np.isfinite(w.grad).all()
+
+
+def graph_ops():
+    """Names of the autodiff functions that build a graph node, i.e. define a backward."""
+    return {name for name, f in vars(ad).items()
+            if inspect.isfunction(f) and f.__module__ == ad.__name__
+            and any(getattr(c, "co_name", None) == "backward" for c in f.__code__.co_consts)}
+
+
+def test_every_graph_op_is_on_the_model_path(monkeypatch):
+    # One training step and one prediction per span mode and channel mode
+    # build every op autodiff defines, and nothing else.
+    fixture = make_fixture(np.random.default_rng(30), 2)
+    vocab = Vocabulary.build(s.tokens for s in fixture)
+    made = record_ops(monkeypatch)
+    for span_mode in SPAN_MODES:
+        for channel_mode in CHANNEL_MODES:
+            model = SpanModel(ModelConfig(embedding_dim=4, lstm_hidden=3, ffnn_hidden=4,
+                                          width_dim=2, distance_dim=3, span_mode=span_mode,
+                                          channel_mode=channel_mode), vocab, seed=0)
+            train_epoch(model, fixture[:1], make_optimizer(model, TrainConfig()),
+                        np.random.default_rng(31))
+            model.predict(fixture[1].tokens)
+    assert set(made) == graph_ops() == {"add", "concat", "dropout", "linear", "lstm",
+                                         "relu", "rows", "softmax_nll", "span_pool"}
 
 
 def reference_sigmoid(d: np.ndarray) -> np.ndarray:

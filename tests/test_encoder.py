@@ -76,7 +76,7 @@ class TestEmbedTokens:
     def test_gradient_reaches_only_looked_up_rows(self):
         vocab = enc.Vocabulary.build([["a", "b", "c"]])
         table = Parameter(np.random.default_rng(0).normal(size=(4, 3)), name="emb")
-        ad.tensor_sum(enc.embed_tokens(["a", "c", "a"], vocab, table)).backward()
+        ref.tensor_sum(enc.embed_tokens(["a", "c", "a"], vocab, table)).backward()
         used = {vocab.lookup("a"), vocab.lookup("c")}
         for i in range(4):
             if i in used:
@@ -84,8 +84,8 @@ class TestEmbedTokens:
             else:
                 np.testing.assert_array_equal(table.grad[i], np.zeros(3))
         err = max_gradient_error(
-            lambda: ad.tensor_sum(ad.mul(enc.embed_tokens(["a", "c", "a"], vocab, table),
-                                         enc.embed_tokens(["a", "c", "a"], vocab, table))),
+            lambda: ref.tensor_sum(ref.mul(enc.embed_tokens(["a", "c", "a"], vocab, table),
+                                           enc.embed_tokens(["a", "c", "a"], vocab, table))),
             [table])
         assert err < 1e-6
 
@@ -113,7 +113,7 @@ class TestBiLstm:
 
         def loss():
             out = enc.bilstm_forward(x, params)
-            return ad.tensor_sum(ad.mul(out, Tensor(weights)))
+            return ref.tensor_sum(ref.mul(out, Tensor(weights)))
 
         assert max_gradient_error(loss, params.parameters() + [x]) < 1e-4
 
@@ -157,14 +157,14 @@ def _reference_direction(embeddings, cell, reverse):
     order = range(embeddings.shape[0] - 1, -1, -1) if reverse else range(embeddings.shape[0])
     states = []
     for t in order:
-        gates = ad.add(ad.add(ad.matmul(ref.row(embeddings, t), cell.w_ih),
-                              ad.matmul(h, cell.w_hh)), cell.bias)
-        i = ad.sigmoid(ref.narrow(gates, 0, hidden))
-        f = ad.sigmoid(ref.narrow(gates, hidden, 2 * hidden))
-        g = ad.tanh(ref.narrow(gates, 2 * hidden, 3 * hidden))
-        o = ad.sigmoid(ref.narrow(gates, 3 * hidden, 4 * hidden))
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
+        gates = ad.add(ad.add(ref.matmul(ref.row(embeddings, t), cell.w_ih),
+                              ref.matmul(h, cell.w_hh)), cell.bias)
+        i = ref.sigmoid(ref.narrow(gates, 0, hidden))
+        f = ref.sigmoid(ref.narrow(gates, hidden, 2 * hidden))
+        g = ref.tanh(ref.narrow(gates, 2 * hidden, 3 * hidden))
+        o = ref.sigmoid(ref.narrow(gates, 3 * hidden, 4 * hidden))
+        c = ad.add(ref.mul(f, c), ref.mul(i, g))
+        h = ref.mul(o, ref.tanh(c))
         states.append(h)
     if reverse:
         states.reverse()
@@ -383,7 +383,7 @@ class TestSpanMatrixMatchesPerSpanOracle:
         for mode in ("max_pool", "mean_pool"):
             def loss():
                 reps = enc.span_representation_matrix(h, spans, mode, width)
-                return ad.tensor_sum(ad.mul(reps, weights))
+                return ref.tensor_sum(ref.mul(reps, weights))
 
             assert max_gradient_error(loss, [h, width]) < 1e-7
 

@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,29 +209,34 @@ def reference_report(model, sentences, modes=ev.EVAL_MODES):
     return report
 
 
+def guard_forwards(model):
+    """Wrap ``model.forward`` to count calls and to assert that no earlier
+    forward's output is still alive when the next one starts."""
+    calls = []
+    forward = model.forward
+
+    def counting_forward(*args, **kwargs):
+        # The previous sentence's graph must be gone before the next one
+        # is built, or peak memory doubles on long sentences.
+        assert all(ref() is None for ref in calls)
+        output = forward(*args, **kwargs)
+        calls.append(weakref.ref(output))
+        return output
+
+    model.forward = counting_forward
+    return calls
+
+
 class TestEvaluateModel:
     @pytest.mark.parametrize("channel_mode", ["dual", "single"])
     def test_one_forward_per_sentence_gives_the_composed_report(self, channel_mode):
-        from dataclasses import replace
-
         fixture = make_fixture(np.random.default_rng(8), 12)
         model = SpanModel(replace(TEST_CONFIG, channel_mode=channel_mode),
                           Vocabulary.build(s.tokens for s in fixture), seed=2)
         # A mention head biased toward targets and opinions makes the direct
         # term-extraction scores non-trivial.
         model.mention_ffnn.biases[-1].data[...] = [1.0, 1.0, -1.0][:model.mention_ffnn.out_dim]
-        calls = []
-        forward = model.forward
-
-        def counting_forward(*args, **kwargs):
-            # The previous sentence's graph must be gone before the next one
-            # is built, or peak memory doubles on long sentences.
-            assert all(ref() is None for ref in calls)
-            output = forward(*args, **kwargs)
-            calls.append(weakref.ref(output))
-            return output
-
-        model.forward = counting_forward
+        calls = guard_forwards(model)
         report = ev.evaluate_model(model, fixture)
         del model.forward
         assert len(calls) == len(fixture)
@@ -242,11 +248,12 @@ class TestPoolDiagnostics:
     def test_recall_is_monotone_in_z(self):
         fixture = make_fixture(np.random.default_rng(6), 10)
         vocab = Vocabulary.build(s.tokens for s in fixture)
-        model = SpanModel(TEST_CONFIG, vocab, seed=1)
         recalls = []
-        # z >= gap + 1 makes ceil(n * z) cover the whole enumeration
+        # z >= gap + 1 makes ceil(n * z) cover the whole enumeration. z does
+        # not enter initialisation, so every model has the same parameters.
         for z in (0.125, 0.25, 0.5, 1.0, 2.0, 9.0):
-            records = ev.pool_diagnostics(model, fixture, z=z)
+            model = SpanModel(replace(TEST_CONFIG, z=z), vocab, seed=1)
+            records = ev.pool_diagnostics(model, fixture)
             kept = sum(r["gold_targets_kept"] + r["gold_opinions_kept"] for r in records)
             total = sum(r["gold_targets"] + r["gold_opinions"] for r in records)
             recalls.append(kept / total)
@@ -257,7 +264,9 @@ class TestPoolDiagnostics:
         fixture = make_fixture(np.random.default_rng(7), 5)
         vocab = Vocabulary.build(s.tokens for s in fixture)
         model = SpanModel(TEST_CONFIG, vocab, seed=1)
+        calls = guard_forwards(model)
         records = ev.pool_diagnostics(model, fixture)
+        assert len(calls) == len(fixture)
         for record, sentence in zip(records, fixture):
             assert record["n"] == len(sentence.tokens)
             assert len(record["target_pool"]) == record["k"]
@@ -292,6 +301,25 @@ class TestPruneSweep:
         # no pool is clamped by the enumeration size.
         ratio = by_mode["sc_adjusted"].mean_pair_count / by_mode["single"].mean_pair_count
         assert 3.0 <= ratio <= 4.0
+
+    def test_dev_f1_is_that_of_the_restored_best_model(self, monkeypatch):
+        fixture = make_fixture(np.random.default_rng(11), 6)
+        fresh = []
+        diagnostics = ev.pool_diagnostics
+
+        def scoring_diagnostics(model, dev):
+            # Runs on each model right after its best state is restored.
+            fresh.append(ev.triplet_prf_for_model(model, dev).f1)
+            return diagnostics(model, dev)
+
+        monkeypatch.setattr(ev, "pool_diagnostics", scoring_diagnostics)
+        # Wide enough to score some triplets within a few epochs.
+        config = replace(TEST_CONFIG, embedding_dim=16, lstm_hidden=12, ffnn_hidden=16,
+                         width_dim=4, distance_dim=6)
+        rows = ev.prune_sweep(fixture, fixture, config,
+                              TrainConfig(epochs=12, seeds=(0,)), z_values=[0.5], seed=0)
+        assert [r.dev_f1 for r in rows] == fresh
+        assert max(fresh) > 0.0
 
     def test_needs_z_values(self):
         fixture = make_fixture(np.random.default_rng(10), 4)

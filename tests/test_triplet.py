@@ -40,8 +40,8 @@ class TestRelationScores:
         rng = np.random.default_rng(0)
         ffnn = FeedForward.create("relation", 9, 4, hidden_dim=5, hidden_layers=2,
                                   dropout_p=0.0, rng=rng)
-        x = Tensor(rng.normal(size=9))
-        err = max_gradient_error(lambda: ad.softmax_nll(ffnn(x), 2),
+        x = Tensor(rng.normal(size=(1, 9)))
+        err = max_gradient_error(lambda: ad.softmax_nll(ffnn(x), [2]),
                                  ffnn.parameters())
         assert err < 1e-5
 
@@ -72,8 +72,8 @@ def assert_pairs_match_per_pair_path(model, tokens):
         parts = [reps[t.index], reps[o.index]]
         if model.distance_table is not None:
             parts.append(model.distance_table.data[tr.pair_distance_bucket(t.span, o.span)])
-        logits = model.relation_ffnn(Tensor(np.concatenate(parts)))
-        np.testing.assert_allclose(out.relation_logits.data[pair_ix], logits.data,
+        logits = model.relation_ffnn(Tensor(np.concatenate(parts)[None, :]))
+        np.testing.assert_allclose(out.relation_logits.data[pair_ix], logits.data[0],
                                    atol=1e-12)
 
 
