@@ -6,12 +6,13 @@ result plus a closure that routes the output gradient to the inputs;
 The graph is rebuilt on every forward pass, which fits per-sentence
 updates (batch size 1) and keeps no state between examples.
 
-The op set is exactly what the model runs: ``rows`` (embedding and pair
-gathers), ``span_pool``, ``concat``, ``lstm``, ``dropout``, ``linear``,
-``relu``, ``softmax_nll`` and the ``add`` that sums the two losses. Each
-LSTM direction is one op: its input projection is hoisted into one GEMM
-over the sentence and its BPTT backward is written by hand. Max or mean
-pooling over every span of a sentence is one op too, and so is each
+The op set is exactly what the model runs: ``rows`` (embedding, boundary
+and width gathers), ``span_pool``, ``pair_features``, ``concat``,
+``lstm``, ``dropout``, ``linear``, ``relu``, ``softmax_nll`` and the
+``add`` that sums the two losses. Each LSTM direction is one op: its input
+projection is hoisted into one GEMM over the sentence and its BPTT
+backward is written by hand. Max or mean pooling over every span of a
+sentence is one op too, and so are a sentence's pair matrix and each
 affine layer of a scorer.
 A training step allocates little: weight gradients from GEMMs go through a
 product buffer each weight keeps, row gathers scatter their gradient into
@@ -225,38 +226,95 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of a 2-D tensor; repeated indices accumulate gradient.
-
-    Backward sums the gradient rows of each distinct index in the order
-    they occur, then adds each sum to its row of ``x.grad``: the same
-    bits as scattering into zeros with ``np.add.at`` and adding that.
-    """
-    idx = np.asarray(indices, dtype=np.intp)
-    n = x.shape[0]
+def _check_rows(name: str, idx: np.ndarray, n: int) -> None:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"row indices out of range for {n} rows: {idx.tolist()}")
+        raise IndexError(f"{name} indices out of range for {n} rows: {idx.tolist()}")
+
+
+def _scatter_rows(x: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    """Add row ``i`` of ``g`` to row ``idx[i]`` of ``x.grad``, allocating it if needed.
+
+    The gradient rows of each distinct index are summed in the order they
+    occur, then each sum is added to its row of ``x.grad``: the same bits
+    as scattering into zeros with ``np.add.at`` and adding that.
+    """
+    if not x.requires_grad:
+        return
+    if x.grad is None:
+        x.grad = np.zeros_like(x.data)
+    if not idx.size:
+        return
+    order = np.argsort(idx, kind="stable")
+    ordered = idx[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[first, idx.size])
+    sums = np.zeros((first.size,) + g.shape[1:])
+    # Round r adds each index's r-th occurrence; no index repeats
+    # within a round, so the fancy ``+=`` loses nothing.
+    for r in range(counts.max()):
+        live = counts > r
+        sums[live] += g[order[first[live] + r]]
+    x.grad[ordered[first]] += sums
+
+
+def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
+    """Gather rows of a 2-D tensor; repeated indices accumulate gradient."""
+    idx = np.asarray(indices, dtype=np.intp)
+    _check_rows("row", idx, x.shape[0])
 
     def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        if not idx.size:
-            return
-        order = np.argsort(idx, kind="stable")
-        ordered = idx[order]
-        first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        counts = np.diff(np.r_[first, idx.size])
-        sums = np.zeros((first.size,) + g.shape[1:])
-        # Round r adds each index's r-th occurrence; no index repeats
-        # within a round, so the fancy ``+=`` loses nothing.
-        for r in range(counts.max()):
-            live = counts > r
-            sums[live] += g[order[first[live] + r]]
-        x.grad[ordered[first]] += sums
+        _scatter_rows(x, idx, g)
 
     return _make(x.data[idx], (x,), backward)
+
+
+def pair_features(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
+                  table: Tensor | None, buckets: Sequence[int] | None) -> Tensor:
+    """The (kt * ko, 2D + dd) pair matrix of every target x opinion pair as one node.
+
+    Row ``a * ko + b`` is ``[reps[targets[a]]; reps[opinions[b]];
+    table[buckets[a * ko + b]]]``; without a table the last block is absent
+    and ``buckets`` must be None. The forward only copies, so its rows are
+    those of ``concat`` over three ``rows`` gathers. Backward sums the target
+    block over the opinion axis and the opinion block over the target axis,
+    so kt + ko rows, not 2 * kt * ko, are scattered into ``reps``.
+    """
+    t_idx = np.asarray(targets, dtype=np.intp)
+    o_idx = np.asarray(opinions, dtype=np.intp)
+    if reps.ndim != 2 or t_idx.ndim != 1 or o_idx.ndim != 1:
+        raise DimensionError(f"pair_features: needs (S, D) rows and 1-D pools, got "
+                             f"{reps.shape}, {t_idx.shape} and {o_idx.shape}")
+    n, dim = reps.shape
+    _check_rows("target", t_idx, n)
+    _check_rows("opinion", o_idx, n)
+    kt, ko = t_idx.size, o_idx.size
+    if (table is None) != (buckets is None):
+        raise DimensionError("pair_features: a distance table needs buckets and vice versa")
+    width = 2 * dim
+    if table is not None:
+        b_idx = np.asarray(buckets, dtype=np.intp)
+        if table.ndim != 2 or b_idx.shape != (kt * ko,):
+            raise DimensionError(f"pair_features: needs a 2-D table and {kt} x {ko} "
+                                 f"buckets, got {table.shape} and {b_idx.shape}")
+        _check_rows("bucket", b_idx, table.shape[0])
+        width += table.shape[1]
+    data = np.empty((kt * ko, width))
+    grid = data.reshape(kt, ko, width)
+    grid[:, :, :dim] = reps.data[t_idx][:, None, :]
+    grid[:, :, dim:2 * dim] = reps.data[o_idx][None, :, :]
+    if table is not None:
+        data[:, 2 * dim:] = table.data[b_idx]
+
+    def backward(g: np.ndarray) -> None:
+        if reps.requires_grad:
+            g_grid = g.reshape(kt, ko, width)
+            _scatter_rows(reps, t_idx, g_grid[:, :, :dim].sum(axis=1))
+            _scatter_rows(reps, o_idx, g_grid[:, :, dim:2 * dim].sum(axis=0))
+        if table is not None:
+            _scatter_rows(table, b_idx, g[:, 2 * dim:])
+
+    parents = (reps,) if table is None else (reps, table)
+    return _make(data, parents, backward)
 
 
 POOL_MODES = ("max", "mean")

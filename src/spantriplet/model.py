@@ -20,7 +20,7 @@ from .autodiff import FeedForward, Parameter, Tensor
 from .encoder import Span, Vocabulary
 from .errors import CheckpointError, ConfigurationError, TrainingStateError
 from .pruning import SpanCandidate
-from .triplet import RELATION_CLASSES, TripletPrediction, decode_triplets, pair_distance_bucket
+from .triplet import RELATION_CLASSES, TripletPrediction, decode_triplets, pair_distance_buckets
 
 
 # Mention class of each kind of term that direct extraction reads off the 3-class head.
@@ -104,7 +104,12 @@ class ModelConfig:
 
 @dataclass
 class SentenceOutput:
-    """Everything one forward pass produced for a sentence."""
+    """Everything one forward pass produced for a sentence.
+
+    ``pairs`` is target-major: with ``ko = len(opinion_pool)``,
+    ``pairs[a * ko + b]`` is ``(target_pool[a], opinion_pool[b])``, and row
+    ``a * ko + b`` of the pair matrix and of ``relation_probs`` scores it.
+    """
 
     tokens: list[str]
     spans: list[Span]
@@ -225,15 +230,13 @@ class SpanModel:
             target_pool, opinion_pool = pool, pool
 
         pairs = [(t, o) for t in target_pool for o in opinion_pool]
-        pair_parts = [
-            ad.rows(reps, [t.index for t, _ in pairs]),
-            ad.rows(reps, [o.index for _, o in pairs]),
-        ]
+        buckets = None
         if self.distance_table is not None:
-            pair_parts.append(ad.rows(
-                self.distance_table,
-                [pair_distance_bucket(t.span, o.span) for t, o in pairs]))
-        pair_matrix = ad.concat(pair_parts, axis=1)
+            buckets = pair_distance_buckets([t.span for t in target_pool],
+                                            [o.span for o in opinion_pool])
+        pair_matrix = ad.pair_features(reps, [t.index for t in target_pool],
+                                       [o.index for o in opinion_pool],
+                                       self.distance_table, buckets)
         relation_logits = self.relation_ffnn(pair_matrix, training=training, rng=rng)
         relation_probs = ad.softmax_probabilities(relation_logits.data)
 

@@ -8,10 +8,11 @@ the pairs whose argmax lands on a sentiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .encoder import Span, bucket_index
+from .encoder import Span, bucket_index, bucket_indices
 
 # Logit layout of the relation scorer. Argmax ties resolve in this order.
 SENTIMENT_TAGS = ("POS", "NEG", "NEU")
@@ -28,6 +29,19 @@ def pair_distance(target: Span, opinion: Span) -> int:
 
 def pair_distance_bucket(target: Span, opinion: Span) -> int:
     return bucket_index(pair_distance(target, opinion))
+
+
+def pair_distance_buckets(targets: Sequence[Span], opinions: Sequence[Span]) -> np.ndarray:
+    """Distance buckets of every target x opinion pair, target-major.
+
+    Entry ``a * len(opinions) + b`` is ``pair_distance_bucket(targets[a],
+    opinions[b])``.
+    """
+    t = np.asarray(targets, dtype=np.intp).reshape(-1, 2)
+    o = np.asarray(opinions, dtype=np.intp).reshape(-1, 2)
+    distance = np.minimum(np.abs(t[:, 1, None] - o[None, :, 0]),
+                          np.abs(t[:, 0, None] - o[None, :, 1]))
+    return bucket_indices(distance.ravel())
 
 
 @dataclass(frozen=True)

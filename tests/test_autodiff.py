@@ -313,6 +313,100 @@ class TestRowsBackwardMatchesAddAt:
         np.testing.assert_array_equal(x.data, np.arange(6.0).reshape(3, 2))
 
 
+def composed_pair_features(reps, targets, opinions, table, buckets):
+    """The pair matrix as ``concat`` over three ``rows`` gathers, as an oracle."""
+    targets, opinions = np.asarray(targets), np.asarray(opinions)
+    parts = [ad.rows(reps, np.repeat(targets, opinions.size)),
+             ad.rows(reps, np.tile(opinions, targets.size))]
+    if table is not None:
+        parts.append(ad.rows(table, buckets))
+    return ad.concat(parts, axis=1)
+
+
+class TestPairFeatures:
+    """``pair_features`` against the rows + rows + rows + concat composition."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(27)
+        spans = len(enumerate_spans(40, 8))
+        t_idx, o_idx = (rng.choice(spans, size=k, replace=False) for k in (20, 20))
+        return {
+            "k x k pools": (spans, t_idx, o_idx, True),
+            "kt != ko": (spans, t_idx[:7], o_idx[:3], True),
+            "k = 1": (spans, t_idx[:1], o_idx[:1], True),
+            "overlapping pools": (12, [3, 5, 7, 9], [9, 4, 3], True),
+            "repeated pinned indices": (12, [2, 2, 6, 2], [6, 6, 1], True),
+            "empty target pool": (12, [], [1, 2], True),
+            "empty opinion pool": (12, [1, 2], [], True),
+            "no distance table": (spans, t_idx[:6], o_idx[:5], False),
+        }
+
+    @staticmethod
+    def run(op, n, targets, opinions, with_table, seed):
+        rng = np.random.default_rng(seed)
+        reps = Parameter(rng.normal(size=(n, 5)), name="reps")
+        table = Parameter(rng.normal(size=(10, 3)), name="table") if with_table else None
+        buckets = (rng.integers(0, 10, size=len(targets) * len(opinions))
+                   if with_table else None)
+        # The pair matrix is one of two consumers of reps, as in the model.
+        other = ad.linear(reps, Tensor(rng.normal(size=(5, 2))), Tensor(np.zeros(2)))
+        out = op(reps, targets, opinions, table, buckets)
+        seed_grad = rng.normal(size=out.shape)
+        loss = ad.add(ref.tensor_sum(ref.mul(out, Tensor(seed_grad))), ref.tensor_sum(other))
+        loss.backward()
+        return out.data, reps.grad, None if table is None else table.grad
+
+    def test_matches_the_composition(self):
+        for seed, (name, (n, t_idx, o_idx, with_table)) in enumerate(self.cases().items()):
+            new = self.run(ad.pair_features, n, t_idx, o_idx, with_table, seed)
+            old = self.run(composed_pair_features, n, t_idx, o_idx, with_table, seed)
+            assert new[0].shape == (len(t_idx) * len(o_idx), 10 + 3 * with_table), name
+            assert new[0].tobytes() == old[0].tobytes(), name
+            # Summing a repeated index's pair blocks first reassociates its sum;
+            # with distinct pool entries the order and so the bits are the same.
+            distinct = len(set(t_idx)) == len(t_idx) and len(set(o_idx)) == len(o_idx)
+            for got, want in zip(new[1:], old[1:]):
+                if want is not None:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+                    assert not distinct or got.tobytes() == want.tobytes(), name
+
+    def test_rows_are_target_major(self):
+        reps = Tensor(np.arange(12.0).reshape(6, 2))
+        table = Tensor(np.arange(30.0).reshape(10, 3) + 100.0)
+        out = ad.pair_features(reps, [4, 1], [0, 5, 2], table, [0, 1, 2, 3, 4, 9])
+        for a, t in enumerate([4, 1]):
+            for b, o in enumerate([0, 5, 2]):
+                row = out.data[a * 3 + b]
+                np.testing.assert_array_equal(row, np.r_[reps.data[t], reps.data[o],
+                                                         table.data[[0, 1, 2, 3, 4, 9][a * 3 + b]]])
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(28)
+        reps = Parameter(rng.normal(size=(6, 3)), name="reps")
+        table = Parameter(rng.normal(size=(4, 2)), name="table")
+        weights = Tensor(rng.normal(size=(6, 8)))
+
+        def loss():
+            out = ad.pair_features(reps, [1, 4, 1], [4, 0], table, [0, 3, 3, 1, 0, 0])
+            return ref.tensor_sum(ref.mul(ref.tanh(out), weights))
+
+        assert max_gradient_error(loss, [reps, table]) < 1e-8
+
+    def test_out_of_range_indices(self):
+        reps, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 1)))
+        for targets, opinions, buckets in (([0, 3], [1], [0, 0]), ([0], [-1], [0]),
+                                           ([0], [1], [4]), ([0], [1], [-1])):
+            with pytest.raises(IndexError):
+                ad.pair_features(reps, targets, opinions, table, buckets)
+
+    def test_bucket_count_and_table_must_agree(self):
+        reps, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 1)))
+        for tab, buckets in ((table, [0]), (table, None), (None, [0, 0])):
+            with pytest.raises(DimensionError):
+                ad.pair_features(reps, [0, 1], [2], tab, buckets)
+
+
 class TestWeightGradientsAccumulate:
     """A second backward without zero_grad adds, never overwrites."""
 
@@ -432,7 +526,8 @@ def test_every_graph_op_is_on_the_model_path(monkeypatch):
                         np.random.default_rng(31))
             model.predict(fixture[1].tokens)
     assert set(made) == graph_ops() == {"add", "concat", "dropout", "linear", "lstm",
-                                         "relu", "rows", "softmax_nll", "span_pool"}
+                                         "pair_features", "relu", "rows", "softmax_nll",
+                                         "span_pool"}
 
 
 def reference_sigmoid(d: np.ndarray) -> np.ndarray:

@@ -268,6 +268,13 @@ class TestBuckets:
     def test_negative_rejected(self):
         with pytest.raises(DataError):
             enc.bucket_index(-1)
+        with pytest.raises(DataError):
+            enc.bucket_indices([3, -1])
+
+    def test_elementwise_buckets_match_the_scalar_rule(self):
+        values = np.arange(200)
+        assert enc.bucket_indices(values).tolist() == [enc.bucket_index(v) for v in values]
+        assert enc.bucket_indices(values.reshape(20, 10)).shape == (20, 10)
 
 
 def span_vector(h, span, mode, width_table):

@@ -22,6 +22,16 @@ class TestPairDistance:
     def test_symmetric_roles_can_touch(self):
         assert tr.pair_distance((0, 1), (1, 2)) == 0
 
+    def test_vectorized_buckets_match_every_pair(self):
+        from spantriplet.encoder import enumerate_spans
+
+        spans = enumerate_spans(100, 8)
+        buckets = tr.pair_distance_buckets(spans, spans)
+        expected = [tr.pair_distance_bucket(t, o) for t in spans for o in spans]
+        assert buckets.tolist() == expected
+        assert max(tr.pair_distance(t, o) for t in spans for o in spans) >= 64
+        assert tr.pair_distance_buckets(spans[:3], []).shape == (0,)
+
 
 class TestRelationScores:
     def test_zero_logits_are_uniform(self):
@@ -46,7 +56,7 @@ class TestRelationScores:
         assert err < 1e-5
 
 
-def tiny_model(use_width_distance=True):
+def tiny_model(use_width_distance=True, channel_mode="dual"):
     from spantriplet.data import make_fixture
     from spantriplet.encoder import Vocabulary
     from spantriplet.model import ModelConfig, SpanModel
@@ -55,7 +65,8 @@ def tiny_model(use_width_distance=True):
     vocab = Vocabulary.build(s.tokens for s in fixture)
     model = SpanModel(ModelConfig(embedding_dim=5, lstm_hidden=3, ffnn_hidden=4,
                                   width_dim=2, distance_dim=3, lstm_dropout=0.0,
-                                  ffnn_dropout=0.0, use_width_distance=use_width_distance),
+                                  ffnn_dropout=0.0, use_width_distance=use_width_distance,
+                                  channel_mode=channel_mode),
                       vocab, seed=0)
     return model, fixture[0].tokens
 
@@ -87,6 +98,17 @@ class TestPairRepresentation:
         model, tokens = tiny_model()
         assert model.relation_ffnn.in_dim == 2 * model.config.span_vector_dim + 3
         assert_pairs_match_per_pair_path(model, tokens)
+
+    @pytest.mark.parametrize("channel_mode,pools", [("dual", None), ("single", None),
+                                                    ("dual", ([4, 0, 4], [2, 7]))])
+    def test_pairs_are_target_major(self, channel_mode, pools):
+        model, tokens = tiny_model(channel_mode=channel_mode)
+        out = model.forward(tokens, pools=pools)
+        ko = len(out.opinion_pool)
+        assert len(out.pairs) == len(out.target_pool) * ko > 1
+        for a, t in enumerate(out.target_pool):
+            for b, o in enumerate(out.opinion_pool):
+                assert out.pairs[a * ko + b] == (t, o)
 
     def test_model_relation_probabilities_sum_to_one(self):
         model, tokens = tiny_model()
