@@ -374,12 +374,13 @@ class TestPairFeatures:
     def test_rows_are_target_major(self):
         reps = Tensor(np.arange(12.0).reshape(6, 2))
         table = Tensor(np.arange(30.0).reshape(10, 3) + 100.0)
-        out = ad.pair_features(reps, [4, 1], [0, 5, 2], table, [0, 1, 2, 3, 4, 9])
+        buckets = [0, 1, 2, 3, 4, 9]
+        out = ad.pair_features(reps, [4, 1], [0, 5, 2], table, buckets)
         for a, t in enumerate([4, 1]):
             for b, o in enumerate([0, 5, 2]):
-                row = out.data[a * 3 + b]
-                np.testing.assert_array_equal(row, np.r_[reps.data[t], reps.data[o],
-                                                         table.data[[0, 1, 2, 3, 4, 9][a * 3 + b]]])
+                p = a * 3 + b
+                np.testing.assert_array_equal(
+                    out.data[p], np.r_[reps.data[t], reps.data[o], table.data[buckets[p]]])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(28)
