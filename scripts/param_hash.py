@@ -20,6 +20,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LENGTHS = (5, 40)
 SMALL_DIMS = dict(embedding_dim=12, lstm_hidden=8, ffnn_hidden=10, width_dim=4, distance_dim=6)
+SEED = 710  # corpus seed; the model seed is SEED + 1, the shuffle seed SEED + 2
 
 
 def parse_args(argv):
@@ -30,8 +31,6 @@ def parse_args(argv):
     parser.add_argument("--dims", default="reference", choices=("reference", "small"))
     parser.add_argument("--steps", type=int, default=40)
     parser.add_argument("--weight-decay", type=float, default=0.01)
-    parser.add_argument("--seed", type=int, default=710,
-                        help="corpus seed; the model seed is seed + 1, the shuffle seed seed + 2")
     args = parser.parse_args(argv)
     if args.steps < 1:
         parser.error("--steps must be >= 1")
@@ -68,12 +67,12 @@ def main(argv=None) -> int:
     from spantriplet.model import ModelConfig, SpanModel
     from spantriplet.training import TrainConfig, make_optimizer, train_epoch
 
-    sentences = chained_corpus(np.random.default_rng(args.seed), args.steps, *LENGTHS)
+    sentences = chained_corpus(np.random.default_rng(SEED), args.steps, *LENGTHS)
     dims = SMALL_DIMS if args.dims == "small" else {}
     config = ModelConfig(span_mode=args.span_mode, channel_mode=args.channel_mode, **dims)
-    model = SpanModel(config, Vocabulary.build(s.tokens for s in sentences), seed=args.seed + 1)
+    model = SpanModel(config, Vocabulary.build(s.tokens for s in sentences), seed=SEED + 1)
     optimizer = make_optimizer(model, TrainConfig(weight_decay=args.weight_decay))
-    train_epoch(model, sentences, optimizer, np.random.default_rng(args.seed + 2))
+    train_epoch(model, sentences, optimizer, np.random.default_rng(SEED + 2))
 
     digest = hashlib.sha256()
     for arrays in ([p.data for p in optimizer.params], optimizer.first_moment,
@@ -82,7 +81,7 @@ def main(argv=None) -> int:
             digest.update(np.ascontiguousarray(array).tobytes())
     print(" ".join(f"{var}={os.environ[var]}" for var in BLAS_VARS))
     print(f"{args.span_mode}/{args.channel_mode} {args.dims} dims, {args.steps} steps, "
-          f"weight decay {args.weight_decay}, seed {args.seed}")
+          f"weight decay {args.weight_decay}, seed {SEED}")
     print(f"sha256 {digest.hexdigest()}")
     return 0
 

@@ -36,9 +36,6 @@ def bucket_indices(values) -> np.ndarray:
 
     A value's bucket is the first slot whose upper bound is at least the value.
     """
-    values = np.asarray(values)
-    if (values < 0).any():
-        raise DataError(f"bucketed values must be non-negative, got {values.min()}")
     return np.searchsorted(_BUCKET_UPPER, values)
 
 

@@ -268,8 +268,6 @@ class TestBuckets:
     def test_negative_rejected(self):
         with pytest.raises(DataError):
             enc.bucket_index(-1)
-        with pytest.raises(DataError):
-            enc.bucket_indices([3, -1])
 
     def test_elementwise_buckets_match_the_scalar_rule(self):
         values = np.arange(200)
