@@ -7,13 +7,15 @@ The graph is rebuilt on every forward pass, which fits per-sentence
 updates (batch size 1) and keeps no state between examples.
 
 The op set is exactly what the model runs: ``rows`` (embedding, boundary
-and width gathers), ``span_pool``, ``pair_features``, ``concat``,
+and width gathers), ``span_pool``, ``pair_linear``, ``concat``,
 ``lstm``, ``dropout``, ``linear``, ``relu``, ``softmax_nll`` and the
 ``add`` that sums the two losses. Each LSTM direction is one op: its input
 projection is hoisted into one GEMM over the sentence and its BPTT
 backward is written by hand. Max or mean pooling over every span of a
-sentence is one op too, and so are a sentence's pair matrix and each
-affine layer of a scorer.
+sentence is one op too, and so is each affine layer of a scorer. The
+relation scorer's layer 0 and the pair matrix it reads are one op,
+``pair_linear``: its backward sums the output gradient over the pools
+before any GEMM, so no (pairs, 2D + dd) gradient is ever formed.
 A training step allocates little: weight gradients from GEMMs go through a
 product buffer each weight keeps, row gathers scatter their gradient into
 the existing buffer, and AdamW updates in place, block by block.
@@ -73,16 +75,19 @@ class Tensor:
         else:
             self.grad += g
 
-    def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Add ``a @ b`` to the gradient through a buffer kept for the next pass.
+    def _product_buffer(self) -> np.ndarray:
+        """A gradient-shaped scratch buffer kept for the next pass.
 
-        The product never goes straight into ``grad``, which may already
-        hold gradient from another consumer.
+        Products are written here, never straight into ``grad``, which may
+        already hold gradient from another consumer.
         """
         if self._product is None:
             self._product = np.empty_like(self.data)
-        np.matmul(a, b, out=self._product)
-        self._accumulate(self._product)
+        return self._product
+
+    def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add ``a @ b`` to the gradient through the product buffer."""
+        self._accumulate(np.matmul(a, b, out=self._product_buffer()))
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this node.
@@ -268,52 +273,80 @@ def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     return _make(x.data[idx], (x,), backward)
 
 
-def pair_features(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
-                  table: Tensor | None, buckets: Sequence[int] | None) -> Tensor:
-    """The (kt * ko, 2D + dd) pair matrix of every target x opinion pair as one node.
+def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
+                table: Tensor | None, buckets: Sequence[int] | None,
+                w: Tensor, b: Tensor) -> Tensor:
+    """Relation layer 0, ``x @ w + b``, over every target x opinion pair as one node.
 
-    Row ``a * ko + b`` is ``[reps[targets[a]]; reps[opinions[b]];
-    table[buckets[a * ko + b]]]``; without a table the last block is absent
-    and ``buckets`` must be None. The forward only copies, so its rows are
-    those of ``concat`` over three ``rows`` gathers. Backward sums the target
-    block over the opinion axis and the opinion block over the target axis,
-    so kt + ko rows, not 2 * kt * ko, are scattered into ``reps``.
+    ``x`` is the (kt * ko, 2D + dd) pair matrix: row ``a * ko + b`` is
+    ``[reps[targets[a]]; reps[opinions[b]]; table[buckets[a * ko + b]]]``;
+    without a table the last block is absent and ``buckets`` must be None.
+    The forward builds ``x`` and runs one GEMM, so its bits are those of
+    ``linear`` on the materialized matrix, then drops ``x``.
+
+    Backward never forms a (kt * ko, .) gradient. With ``w`` split into
+    its target, opinion and distance blocks W_t, W_o, W_d and ``g`` viewed
+    as (kt, ko, H), each target row gets ``(sum over b of g[a, b]) @ W_t.T``,
+    each opinion row ``(sum over a of g[a, b]) @ W_o.T`` and each table
+    row ``(its bucket's sum of g) @ W_d.T``; the weight blocks are the
+    gathered rows' transposes times those same sums.
     """
     t_idx = np.asarray(targets, dtype=np.intp)
     o_idx = np.asarray(opinions, dtype=np.intp)
     if reps.ndim != 2 or t_idx.ndim != 1 or o_idx.ndim != 1:
-        raise DimensionError(f"pair_features: needs (S, D) rows and 1-D pools, got "
+        raise DimensionError(f"pair_linear: needs (S, D) rows and 1-D pools, got "
                              f"{reps.shape}, {t_idx.shape} and {o_idx.shape}")
     n, dim = reps.shape
     _check_rows("target", t_idx, n)
     _check_rows("opinion", o_idx, n)
     kt, ko = t_idx.size, o_idx.size
     if (table is None) != (buckets is None):
-        raise DimensionError("pair_features: a distance table needs buckets and vice versa")
+        raise DimensionError("pair_linear: a distance table needs buckets and vice versa")
     width = 2 * dim
     if table is not None:
         b_idx = np.asarray(buckets, dtype=np.intp)
         if table.ndim != 2 or b_idx.shape != (kt * ko,):
-            raise DimensionError(f"pair_features: needs a 2-D table and {kt} x {ko} "
+            raise DimensionError(f"pair_linear: needs a 2-D table and {kt} x {ko} "
                                  f"buckets, got {table.shape} and {b_idx.shape}")
         _check_rows("bucket", b_idx, table.shape[0])
         width += table.shape[1]
-    data = np.empty((kt * ko, width))
-    grid = data.reshape(kt, ko, width)
+    if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+        raise DimensionError(f"pair_linear: pair rows of width {width} need a ({width}, out) "
+                             f"weight and (out,) bias, got {w.shape} and {b.shape}")
+    x = np.empty((kt * ko, width))
+    grid = x.reshape(kt, ko, width)
     grid[:, :, :dim] = reps.data[t_idx][:, None, :]
     grid[:, :, dim:2 * dim] = reps.data[o_idx][None, :, :]
     if table is not None:
-        data[:, 2 * dim:] = table.data[b_idx]
+        x[:, 2 * dim:] = table.data[b_idx]
+    data = x @ w.data
+    data += b.data
 
     def backward(g: np.ndarray) -> None:
-        if reps.requires_grad:
-            g_grid = g.reshape(kt, ko, width)
-            _scatter_rows(reps, t_idx, g_grid[:, :, :dim].sum(axis=1))
-            _scatter_rows(reps, o_idx, g_grid[:, :, dim:2 * dim].sum(axis=0))
+        g_grid = g.reshape(kt, ko, w.shape[1])
+        by_target = g_grid.sum(axis=1)
+        by_opinion = g_grid.sum(axis=0)
+        w_t, w_o, w_d = w.data[:dim], w.data[dim:2 * dim], w.data[2 * dim:]
         if table is not None:
-            _scatter_rows(table, b_idx, g[:, 2 * dim:])
+            # One (buckets seen, P) indicator GEMM sums g per bucket.
+            buckets_seen = np.unique(b_idx)
+            by_bucket = np.equal.outer(buckets_seen, b_idx) @ g
+        if reps.requires_grad:
+            _scatter_rows(reps, t_idx, by_target @ w_t.T)
+            _scatter_rows(reps, o_idx, by_opinion @ w_o.T)
+        if table is not None and table.requires_grad:
+            _scatter_rows(table, buckets_seen, by_bucket @ w_d.T)
+        if w.requires_grad:
+            product = w._product_buffer()
+            np.matmul(reps.data[t_idx].T, by_target, out=product[:dim])
+            np.matmul(reps.data[o_idx].T, by_opinion, out=product[dim:2 * dim])
+            if table is not None:
+                np.matmul(table.data[buckets_seen].T, by_bucket, out=product[2 * dim:])
+            w._accumulate(product)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
 
-    parents = (reps,) if table is None else (reps, table)
+    parents = (reps, w, b) if table is None else (reps, table, w, b)
     return _make(data, parents, backward)
 
 
@@ -556,6 +589,10 @@ class FeedForward:
 
     Maps an (N, in) batch of rows to (N, out) with one ``linear`` node per
     layer; weights are (in, out) oriented. The output layer is linear.
+    Calling the block runs layer 0 and then ``from_layer0``, so a caller
+    that computes layer 0 some other way (the relation scorer's
+    ``pair_linear``) hands its output to ``from_layer0``; the dropout draws
+    come in the same order either way.
     """
 
     def __init__(self, weights: list[Parameter], biases: list[Parameter],
@@ -588,13 +625,15 @@ class FeedForward:
 
     def __call__(self, x: Tensor, *, training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        return self.from_layer0(linear(x, self.weights[0], self.biases[0]),
+                                training=training, rng=rng)
+
+    def from_layer0(self, h: Tensor, *, training: bool = False,
+                    rng: np.random.Generator | None = None) -> Tensor:
+        """The rest of the block after layer 0: ReLU, dropout, then each later layer."""
+        for w, b in zip(self.weights[1:], self.biases[1:]):
+            h = dropout(relu(h), self.dropout_p, rng, training)
             h = linear(h, w, b)
-            if i < last:
-                h = relu(h)
-                h = dropout(h, self.dropout_p, rng, training)
         return h
 
 

@@ -175,8 +175,7 @@ def evaluate_model(model: SpanModel, sentences: Sequence[Sentence],
         if dual:
             for kind, label in MENTION_KINDS.items():
                 typed[kind][sentence.id] = output.argmax_spans(label)
-        # Free this sentence's graph (its pair matrix is ~100 MB at 100 tokens)
-        # before the next forward builds one.
+        # Free this sentence's graph before the next forward builds one.
         del output
     gold = gold_triplet_sets(sentences)
     pred_keys = predictions_to_keys(predictions)

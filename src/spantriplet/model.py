@@ -234,10 +234,11 @@ class SpanModel:
         if self.distance_table is not None:
             buckets = pair_distance_buckets([t.span for t in target_pool],
                                             [o.span for o in opinion_pool])
-        pair_matrix = ad.pair_features(reps, [t.index for t in target_pool],
-                                       [o.index for o in opinion_pool],
-                                       self.distance_table, buckets)
-        relation_logits = self.relation_ffnn(pair_matrix, training=training, rng=rng)
+        ffnn = self.relation_ffnn
+        layer0 = ad.pair_linear(reps, [t.index for t in target_pool],
+                                [o.index for o in opinion_pool], self.distance_table,
+                                buckets, ffnn.weights[0], ffnn.biases[0])
+        relation_logits = ffnn.from_layer0(layer0, training=training, rng=rng)
         relation_probs = ad.softmax_probabilities(relation_logits.data)
 
         return SentenceOutput(

@@ -70,17 +70,11 @@ def assign_mention_labels(sentence: Sentence, spans: Sequence[Span],
     """One mention label per enumerated span, by exact span match.
 
     A span annotated as both target and opinion gets the target label.
-    Gold spans too wide to enumerate are logged and contribute no
-    supervision.
+    Gold spans too wide to enumerate contribute no supervision;
+    ``train_single_seed`` counts them once per training corpus.
     """
     targets = sentence.target_spans()
     opinions = sentence.opinion_spans()
-    span_set = set(spans)
-    for gold in sorted(targets | opinions):
-        if gold not in span_set:
-            logger.warning(
-                "sentence %d: gold span %s exceeds the enumeration limit and "
-                "gets no mention supervision", sentence.id, gold)
     labels = []
     for span in spans:
         if channel_mode == "single":
@@ -276,6 +270,11 @@ def train_single_seed(model: SpanModel, train: Sequence[Sentence],
     """Train one model; returns (dev F1 curve, best epoch, best parameter arrays)."""
     from .evaluation import triplet_prf_for_model
 
+    gap = model.config.max_span_gap
+    too_wide = sum(j - i > gap for s in train for i, j in s.target_spans() | s.opinion_spans())
+    if too_wide:
+        logger.warning("%d gold spans of the training data exceed the enumeration limit "
+                       "(max_span_gap %d) and get no mention supervision", too_wide, gap)
     optimizer = make_optimizer(model, config)
     rng = np.random.default_rng(seed)
     curve: list[float] = []

@@ -1,10 +1,12 @@
 """Elementary ops and the per-span pooling path, kept as test oracles.
 
 The library builds span vectors with one ``ad.span_pool`` node per
-sentence, each LSTM direction as one ``ad.lstm`` node and each scorer
-layer as one ``ad.linear`` node. These are the elementwise, per-row and
-per-slice ops the older compositions were made of; the tests rebuild
-those compositions from them and compare.
+sentence, each LSTM direction as one ``ad.lstm`` node, each scorer
+layer as one ``ad.linear`` node and the relation scorer's layer 0 over
+the pair matrix as one ``ad.pair_linear`` node. These are the
+elementwise, per-row and per-slice ops the older compositions were made
+of, plus the materialized pair matrix; the tests rebuild those
+compositions from them and compare.
 """
 
 import numpy as np
@@ -186,3 +188,37 @@ def span_representation(h: Tensor, span, mode, width_table):
 def span_representation_matrix(h, spans, mode, width_table):
     """(S, D) span matrix as a stack of per-span vectors: the pooling oracle."""
     return stack([span_representation(h, s, mode, width_table) for s in spans], axis=0)
+
+
+def pair_features(reps, targets, opinions, table, buckets):
+    """The (kt * ko, 2D + dd) pair matrix of every target x opinion pair as one node.
+
+    Row ``a * ko + b`` is ``[reps[targets[a]]; reps[opinions[b]];
+    table[buckets[a * ko + b]]]``; without a table the last block is absent.
+    ``ad.linear`` over this matrix is the oracle for ``ad.pair_linear``.
+    Backward sums the target block over the opinion axis and the opinion
+    block over the target axis before scattering them into ``reps``.
+    """
+    t_idx = np.asarray(targets, dtype=np.intp)
+    o_idx = np.asarray(opinions, dtype=np.intp)
+    dim = reps.shape[1]
+    kt, ko = t_idx.size, o_idx.size
+    width = 2 * dim + (0 if table is None else table.shape[1])
+    data = np.empty((kt * ko, width))
+    grid = data.reshape(kt, ko, width)
+    grid[:, :, :dim] = reps.data[t_idx][:, None, :]
+    grid[:, :, dim:2 * dim] = reps.data[o_idx][None, :, :]
+    if table is not None:
+        b_idx = np.asarray(buckets, dtype=np.intp)
+        data[:, 2 * dim:] = table.data[b_idx]
+
+    def backward(g):
+        if reps.requires_grad:
+            g_grid = g.reshape(kt, ko, width)
+            ad._scatter_rows(reps, t_idx, g_grid[:, :, :dim].sum(axis=1))
+            ad._scatter_rows(reps, o_idx, g_grid[:, :, dim:2 * dim].sum(axis=0))
+        if table is not None:
+            ad._scatter_rows(table, b_idx, g[:, 2 * dim:])
+
+    parents = (reps,) if table is None else (reps, table)
+    return ad._make(data, parents, backward)

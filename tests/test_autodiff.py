@@ -142,6 +142,15 @@ class TestFeedForward:
             with pytest.raises(DimensionError):
                 ffnn(Tensor(np.zeros(bad)))
 
+    def test_call_is_layer0_then_from_layer0(self):
+        rng = np.random.default_rng(4)
+        ffnn = self.make(rng, dropout=0.5)
+        x = Tensor(rng.normal(size=(3, 10)))
+        whole = ffnn(x, training=True, rng=np.random.default_rng(5))
+        layer0 = ad.linear(x, ffnn.weights[0], ffnn.biases[0])
+        split = ffnn.from_layer0(layer0, training=True, rng=np.random.default_rng(5))
+        assert whole.data.tobytes() == split.data.tobytes()
+
     def test_one_linear_node_per_layer(self, monkeypatch):
         ffnn = self.make(np.random.default_rng(0), dropout=0.5)
         made = record_ops(monkeypatch)
@@ -323,24 +332,25 @@ def composed_pair_features(reps, targets, opinions, table, buckets):
     return ad.concat(parts, axis=1)
 
 
-class TestPairFeatures:
-    """``pair_features`` against the rows + rows + rows + concat composition."""
+def pair_cases():
+    """Pools over a sentence's spans: (span count, targets, opinions, with a table)."""
+    rng = np.random.default_rng(27)
+    spans = len(enumerate_spans(40, 8))
+    t_idx, o_idx = (rng.choice(spans, size=k, replace=False) for k in (20, 20))
+    return {
+        "k x k pools": (spans, t_idx, o_idx, True),
+        "kt != ko": (spans, t_idx[:7], o_idx[:3], True),
+        "k = 1": (spans, t_idx[:1], o_idx[:1], True),
+        "overlapping pools": (12, [3, 5, 7, 9], [9, 4, 3], True),
+        "repeated pinned indices": (12, [2, 2, 6, 2], [6, 6, 1], True),
+        "empty target pool": (12, [], [1, 2], True),
+        "empty opinion pool": (12, [1, 2], [], True),
+        "no distance table": (spans, t_idx[:6], o_idx[:5], False),
+    }
 
-    @staticmethod
-    def cases():
-        rng = np.random.default_rng(27)
-        spans = len(enumerate_spans(40, 8))
-        t_idx, o_idx = (rng.choice(spans, size=k, replace=False) for k in (20, 20))
-        return {
-            "k x k pools": (spans, t_idx, o_idx, True),
-            "kt != ko": (spans, t_idx[:7], o_idx[:3], True),
-            "k = 1": (spans, t_idx[:1], o_idx[:1], True),
-            "overlapping pools": (12, [3, 5, 7, 9], [9, 4, 3], True),
-            "repeated pinned indices": (12, [2, 2, 6, 2], [6, 6, 1], True),
-            "empty target pool": (12, [], [1, 2], True),
-            "empty opinion pool": (12, [1, 2], [], True),
-            "no distance table": (spans, t_idx[:6], o_idx[:5], False),
-        }
+
+class TestPairFeatures:
+    """The reference pair matrix against the rows + rows + rows + concat composition."""
 
     @staticmethod
     def run(op, n, targets, opinions, with_table, seed):
@@ -358,8 +368,8 @@ class TestPairFeatures:
         return out.data, reps.grad, None if table is None else table.grad
 
     def test_matches_the_composition(self):
-        for seed, (name, (n, t_idx, o_idx, with_table)) in enumerate(self.cases().items()):
-            new = self.run(ad.pair_features, n, t_idx, o_idx, with_table, seed)
+        for seed, (name, (n, t_idx, o_idx, with_table)) in enumerate(pair_cases().items()):
+            new = self.run(ref.pair_features, n, t_idx, o_idx, with_table, seed)
             old = self.run(composed_pair_features, n, t_idx, o_idx, with_table, seed)
             assert new[0].shape == (len(t_idx) * len(o_idx), 10 + 3 * with_table), name
             assert new[0].tobytes() == old[0].tobytes(), name
@@ -375,37 +385,105 @@ class TestPairFeatures:
         reps = Tensor(np.arange(12.0).reshape(6, 2))
         table = Tensor(np.arange(30.0).reshape(10, 3) + 100.0)
         buckets = [0, 1, 2, 3, 4, 9]
-        out = ad.pair_features(reps, [4, 1], [0, 5, 2], table, buckets)
+        out = ref.pair_features(reps, [4, 1], [0, 5, 2], table, buckets)
         for a, t in enumerate([4, 1]):
             for b, o in enumerate([0, 5, 2]):
                 p = a * 3 + b
                 np.testing.assert_array_equal(
                     out.data[p], np.r_[reps.data[t], reps.data[o], table.data[buckets[p]]])
 
+
+def materialized_pair_linear(reps, targets, opinions, table, buckets, w, b):
+    """Relation layer 0 as ``linear`` over the materialized pair matrix, as an oracle."""
+    return ad.linear(ref.pair_features(reps, targets, opinions, table, buckets), w, b)
+
+
+class TestPairLinear:
+    """``pair_linear`` against ``linear`` over the reference pair matrix."""
+
+    @staticmethod
+    def run(op, n, targets, opinions, with_table, seed):
+        rng = np.random.default_rng(seed)
+        reps = Parameter(rng.normal(size=(n, 5)), name="reps")
+        table = Parameter(rng.normal(size=(10, 3)), name="table") if with_table else None
+        buckets = (rng.integers(0, 10, size=len(targets) * len(opinions))
+                   if with_table else None)
+        w = Parameter(rng.normal(size=(10 + 3 * with_table, 4)), name="w")
+        b = Parameter(rng.normal(size=4), name="b")
+        # The pair rows are one of two consumers of reps, as in the model.
+        other = ad.linear(reps, Tensor(rng.normal(size=(5, 2))), Tensor(np.zeros(2)))
+        out = op(reps, targets, opinions, table, buckets, w, b)
+        seed_grad = rng.normal(size=out.shape)
+        loss = ad.add(ref.tensor_sum(ref.mul(out, Tensor(seed_grad))), ref.tensor_sum(other))
+        loss.backward()
+        return out.data, reps.grad, None if table is None else table.grad, w.grad, b.grad
+
+    def test_matches_linear_over_the_pair_matrix(self):
+        for seed, (name, (n, t_idx, o_idx, with_table)) in enumerate(pair_cases().items()):
+            new = self.run(ad.pair_linear, n, t_idx, o_idx, with_table, seed)
+            old = self.run(materialized_pair_linear, n, t_idx, o_idx, with_table, seed)
+            assert new[0].shape == (len(t_idx) * len(o_idx), 4), name
+            assert new[0].tobytes() == old[0].tobytes(), name
+            # Backward sums over the pools before the GEMMs, which reassociates
+            # every gradient but the bias's.
+            for got, want in zip(new[1:], old[1:]):
+                if want is not None:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+            assert new[4].tobytes() == old[4].tobytes(), name
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(28)
         reps = Parameter(rng.normal(size=(6, 3)), name="reps")
         table = Parameter(rng.normal(size=(4, 2)), name="table")
-        weights = Tensor(rng.normal(size=(6, 8)))
+        w = Parameter(rng.normal(size=(8, 5)), name="w")
+        b = Parameter(rng.normal(size=5), name="b")
+        weights = Tensor(rng.normal(size=(6, 5)))
 
         def loss():
-            out = ad.pair_features(reps, [1, 4, 1], [4, 0], table, [0, 3, 3, 1, 0, 0])
+            out = ad.pair_linear(reps, [1, 4, 1], [4, 0], table, [0, 3, 3, 1, 0, 0], w, b)
             return ref.tensor_sum(ref.mul(ref.tanh(out), weights))
 
-        assert max_gradient_error(loss, [reps, table]) < 1e-8
+        assert max_gradient_error(loss, [reps, table, w, b]) < 1e-8
+
+    def test_second_backward_doubles_the_weight_gradient(self):
+        rng = np.random.default_rng(29)
+        reps = Tensor(rng.normal(size=(7, 3)))
+        table = Tensor(rng.normal(size=(4, 2)))
+        w = Parameter(rng.normal(size=(8, 5)), name="w")
+        b = Parameter(rng.normal(size=5), name="b")
+
+        def loss():
+            out = ad.pair_linear(reps, [1, 5], [6, 0, 2], table, [0, 3, 3, 1, 0, 2], w, b)
+            return ref.tensor_sum(ad.relu(out))
+
+        loss().backward()
+        once = w.grad.copy()
+        loss().backward()
+        np.testing.assert_array_equal(w.grad, 2.0 * once)
+        assert np.any(once != 0.0)
 
     def test_out_of_range_indices(self):
         reps, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 1)))
+        w, b = Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))
         for targets, opinions, buckets in (([0, 3], [1], [0, 0]), ([0], [-1], [0]),
                                            ([0], [1], [4]), ([0], [1], [-1])):
             with pytest.raises(IndexError):
-                ad.pair_features(reps, targets, opinions, table, buckets)
+                ad.pair_linear(reps, targets, opinions, table, buckets, w, b)
 
     def test_bucket_count_and_table_must_agree(self):
         reps, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 1)))
+        b = Tensor(np.zeros(2))
         for tab, buckets in ((table, [0]), (table, None), (None, [0, 0])):
+            w = Tensor(np.zeros((4 + (tab is not None), 2)))
             with pytest.raises(DimensionError):
-                ad.pair_features(reps, [0, 1], [2], tab, buckets)
+                ad.pair_linear(reps, [0, 1], [2], tab, buckets, w, b)
+
+    def test_weight_must_fit_the_pair_width(self):
+        reps, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 1)))
+        for w, b in ((np.zeros((4, 2)), np.zeros(2)), (np.zeros((5, 2)), np.zeros(3)),
+                     (np.zeros(5), np.zeros(()))):
+            with pytest.raises(DimensionError):
+                ad.pair_linear(reps, [0, 1], [2], table, [0, 1], Tensor(w), Tensor(b))
 
 
 class TestWeightGradientsAccumulate:
@@ -527,7 +605,7 @@ def test_every_graph_op_is_on_the_model_path(monkeypatch):
                         np.random.default_rng(31))
             model.predict(fixture[1].tokens)
     assert set(made) == graph_ops() == {"add", "concat", "dropout", "linear", "lstm",
-                                         "pair_features", "relu", "rows", "softmax_nll",
+                                         "pair_linear", "relu", "rows", "softmax_nll",
                                          "span_pool"}
 
 

@@ -67,12 +67,14 @@ class TestMentionLabels:
         assert labels[(2, 2)] == SINGLE_VALID
         assert labels[(1, 1)] == SINGLE_INVALID
 
-    def test_too_wide_gold_span_logs_warning(self, caplog):
+    def test_too_wide_gold_span_gets_no_label(self, caplog):
         sentence = Sentence(0, list("abcdefgh"), [GoldTriplet((0, 6), (7, 7), "POS")])
         spans = enumerate_spans(8, 2)
         with caplog.at_level("WARNING"):
-            assign_mention_labels(sentence, spans)
-        assert "enumeration limit" in caplog.text
+            labels = dict(zip(spans, assign_mention_labels(sentence, spans)))
+        assert labels[(7, 7)] == MENTION_OPINION
+        assert set(labels.values()) == {MENTION_OPINION, MENTION_INVALID}
+        assert not caplog.records
 
 
 def candidate(span, index=0):
@@ -324,6 +326,23 @@ class TestReferenceScale:
             assert np.isfinite(p.data).all(), p.name
         triplets = model.predict(fixture[0].tokens)
         assert isinstance(triplets, list)
+
+
+class TestTrainSingleSeed:
+    def test_too_wide_gold_span_logs_warning(self, caplog):
+        # Two too-wide gold spans in a three-sentence corpus, two epochs:
+        # one warning for the corpus, with the count.
+        wide = [Sentence(0, list("abcdefgh"), [GoldTriplet((0, 6), (7, 7), "POS")]),
+                Sentence(1, list("abcdefgh"), [GoldTriplet((1, 1), (2, 7), "NEG")]),
+                Sentence(2, list("abcd"), [GoldTriplet((0, 1), (3, 3), "POS")])]
+        config = ModelConfig(embedding_dim=4, lstm_hidden=3, ffnn_hidden=4, width_dim=2,
+                             distance_dim=3, max_span_gap=2)
+        model = tiny_model(wide, config=config)
+        with caplog.at_level("WARNING", logger=training.logger.name):
+            training.train_single_seed(model, wide, wide[2:], TrainConfig(epochs=2), seed=0)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert messages[0].startswith("2 gold spans") and "enumeration limit" in messages[0]
 
 
 class TestRunExperiment:

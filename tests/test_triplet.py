@@ -116,6 +116,55 @@ class TestPairRepresentation:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
+def graph_array_shapes(root):
+    """Shapes of every array the graph under ``root`` holds.
+
+    Walks ``_parents`` and, for each node, its data and the arrays its
+    ``_backward`` closure captures, directly or in a list or tuple.
+    """
+    shapes, seen, stack = [], {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        shapes.append(node.data.shape)
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            value = cell.cell_contents
+            for item in value if isinstance(value, (list, tuple)) else (value,):
+                if isinstance(item, np.ndarray):
+                    shapes.append(item.shape)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return shapes
+
+
+class TestPairMatrixIsNotKept:
+    def test_training_graph_holds_no_pair_matrix(self):
+        import reference_ops as ref
+        from spantriplet.data import make_fixture
+        from spantriplet.encoder import Vocabulary
+        from spantriplet.model import ModelConfig, SpanModel
+        from spantriplet.training import compute_loss
+
+        fixture = make_fixture(np.random.default_rng(1), 4)
+        model = SpanModel(ModelConfig(embedding_dim=5, lstm_hidden=3, ffnn_hidden=4,
+                                      width_dim=2, distance_dim=3),
+                          Vocabulary.build(s.tokens for s in fixture), seed=0)
+        sentence = max(fixture, key=lambda s: len(s.tokens))
+        out = model.forward(sentence.tokens, training=True, rng=np.random.default_rng(2))
+        pair_shape = (len(out.pairs), model.config.pair_vector_dim)
+        assert len(out.pairs) > 1
+        loss = compute_loss(out, sentence).total
+        assert pair_shape not in graph_array_shapes(loss)
+        # The walk does see the matrix when the scorer reads it materialized.
+        matrix = ref.pair_features(out.span_reps, [t.index for t in out.target_pool],
+                                   [o.index for o in out.opinion_pool], model.distance_table,
+                                   tr.pair_distance_buckets([t.span for t in out.target_pool],
+                                                            [o.span for o in out.opinion_pool]))
+        materialized = model.relation_ffnn(matrix, training=True, rng=np.random.default_rng(3))
+        assert pair_shape in graph_array_shapes(materialized)
+
+
 def reference_decode(pairs, relation_probs):
     """``decode_triplets`` as one argmax per row, kept as an oracle."""
     best = {}
