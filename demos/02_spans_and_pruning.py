@@ -41,7 +41,7 @@ example = corpus[3]
 output = model.forward(example.tokens)
 print(f"\nsentence: {' '.join(example.tokens)}")
 print(f"{len(output.spans)} spans scored; z={config.z} keeps "
-      f"k={output.pool_size} per pool, giving {len(output.pairs)} pairs (k^2)")
+      f"k={len(output.target_pool)} per pool, giving {len(output.pairs)} pairs (k^2)")
 
 
 def show(pool, score):

@@ -8,7 +8,7 @@ import numpy as np
 
 from spantriplet.data import make_fixture
 from spantriplet.encoder import Vocabulary
-from spantriplet.evaluation import triplet_prf_for_model
+from spantriplet.evaluation import corpus_pass
 from spantriplet.model import ModelConfig, SpanModel
 from spantriplet.training import TrainConfig, make_optimizer, train_epoch
 
@@ -30,7 +30,7 @@ rng = np.random.default_rng(0)
 print("\ntraining (one AdamW step per sentence):")
 for epoch in range(80):
     stats = train_epoch(model, corpus, optimizer, rng)
-    f1 = triplet_prf_for_model(model, corpus).f1
+    f1 = corpus_pass(model, corpus).score().f1
     if epoch % 10 == 0 or f1 == 1.0:
         print(f"  epoch {epoch:>3}: loss {stats.mean_loss:.4f}  train F1 {f1:.3f}")
     if f1 == 1.0:
@@ -48,5 +48,5 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "demo.ckpt.npz")
     model.save(path)
     reloaded = SpanModel.load(path)
-    same = triplet_prf_for_model(reloaded, corpus).f1
+    same = corpus_pass(reloaded, corpus).score().f1
     print(f"\ncheckpoint round-trip: reloaded model F1 = {same:.3f}")

@@ -10,9 +10,8 @@ the number of scored pairs ("sc_adjusted").
 import numpy as np
 
 from spantriplet.data import make_fixture
-from spantriplet.evaluation import prune_sweep, render_sweep_table
 from spantriplet.model import ModelConfig
-from spantriplet.training import TrainConfig
+from spantriplet.training import TrainConfig, prune_sweep, render_sweep_table
 
 # Scoring the training sentences keeps this demo fast; the sweep shape is
 # what matters here, not generalization.

@@ -61,8 +61,7 @@ def main() -> int:
         os.makedirs(out_dir, exist_ok=True)
         print(f"== {dataset}: {len(train)} train / {len(dev)} dev / {len(test)} test")
         report = run_experiment(train, dev, test, model_config, train_config,
-                                pretrained_embeddings=pretrained,
-                                out_dir=out_dir, log_progress=True)
+                                pretrained_embeddings=pretrained, out_dir=out_dir)
         atomic_write_text(os.path.join(out_dir, "report.json"),
                           json.dumps(report.as_dict(), indent=2) + "\n")
         print(report.render_text())

@@ -13,17 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
 from . import data as dataio
 from . import evaluation as evalmod
+from . import training
 from .data import atomic_write_text
-from .encoder import load_embedding_file
+from .encoder import SPAN_MODES, load_embedding_file
 from .errors import (CheckpointError, ConfigurationError, DataError,
                      NumericalError, UsageError)
 from .model import ModelConfig, SpanModel
-from .training import TrainConfig, run_experiment
+from .pruning import CHANNEL_MODES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,9 +47,9 @@ def build_parser() -> _Parser:
         p.add_argument("--out", help="output directory (or file for predict)")
         p.add_argument("--seeds", "--seed", nargs="+", type=int, dest="seeds",
                        help="random seeds, one run per seed")
-        p.add_argument("--span-mode", choices=("boundary", "max_pool", "mean_pool"))
+        p.add_argument("--span-mode", choices=SPAN_MODES)
         p.add_argument("--z", type=float, help="pruning threshold")
-        p.add_argument("--channel-mode", choices=("dual", "single"))
+        p.add_argument("--channel-mode", choices=CHANNEL_MODES)
         p.add_argument("--max-span-width", type=int,
                        help="span width limit: spans satisfy end - start <= N")
         p.add_argument("--epochs", type=int)
@@ -75,7 +77,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--z-values", nargs="+", type=float,
                          help="thresholds to sweep")
     p_sweep.add_argument("--sweep-modes", nargs="+",
-                         choices=evalmod.SWEEP_MODES, default=list(evalmod.SWEEP_MODES))
+                         choices=training.SWEEP_MODES, default=list(training.SWEEP_MODES))
     return parser
 
 
@@ -124,14 +126,9 @@ def resolve_config(args) -> dict:
         train_cfg["epochs"] = args.epochs
 
     model = ModelConfig.from_dict(model_cfg)
-    known_train = {"epochs", "seeds", "lr", "weight_decay"}
-    unknown = set(train_cfg) - known_train
-    if unknown:
-        raise UsageError(f"unknown training config fields: {sorted(unknown)}")
-    training = TrainConfig(**{k: tuple(v) if k == "seeds" else v
-                              for k, v in train_cfg.items()})
     try:
-        training.validate()
+        train_config = _train_config(train_cfg)
+        train_config.validate()
     except DataError as exc:
         raise UsageError(str(exc))
     modes = getattr(args, "modes", None) or file_cfg.get("modes") or list(evalmod.EVAL_MODES)
@@ -139,13 +136,22 @@ def resolve_config(args) -> dict:
         "command": args.command,
         "paths": paths,
         "model": model.as_dict(),
-        "training": training.as_dict(),
+        "training": train_config.as_dict(),
         "modes": list(modes),
         "z_values": (getattr(args, "z_values", None)
                      or file_cfg.get("z_values") or []),
         "sweep_modes": list(getattr(args, "sweep_modes", None)
-                            or file_cfg.get("sweep_modes", evalmod.SWEEP_MODES)),
+                            or file_cfg.get("sweep_modes", training.SWEEP_MODES)),
     }
+
+
+def _train_config(raw: dict) -> training.TrainConfig:
+    """The TrainConfig of a config file's or an echoed run's "training" section."""
+    unknown = set(raw) - {"epochs", "seeds", "lr", "weight_decay"}
+    if unknown:
+        raise UsageError(f"unknown training config fields: {sorted(unknown)}")
+    return training.TrainConfig(**{k: tuple(v) if k == "seeds" else v
+                                   for k, v in raw.items()})
 
 
 def _require(config: dict, key: str, flag: str) -> str:
@@ -198,15 +204,10 @@ def cmd_train(args) -> int:
     train = _load_split(train_path)
     dev = _load_split(dev_path)
     test = _load_split(test_path)
-    report = run_experiment(
+    report = training.run_experiment(
         train, dev, test,
-        ModelConfig.from_dict(config["model"]),
-        TrainConfig(epochs=config["training"]["epochs"],
-                    seeds=tuple(config["training"]["seeds"]),
-                    lr=config["training"]["lr"],
-                    weight_decay=config["training"]["weight_decay"]),
-        pretrained_embeddings=_load_embeddings_if_any(config),
-        out_dir=out_dir, log_progress=True)
+        ModelConfig.from_dict(config["model"]), _train_config(config["training"]),
+        pretrained_embeddings=_load_embeddings_if_any(config), out_dir=out_dir)
     atomic_write_text(os.path.join(out_dir, "report.json"),
                       json.dumps(report.as_dict(), indent=2) + "\n")
     atomic_write_text(os.path.join(out_dir, "report.txt"),
@@ -282,17 +283,13 @@ def cmd_prune_sweep(args) -> int:
         _echo_config(config, out_dir)
     train = _load_split(train_path)
     dev = _load_split(dev_path)
-    seeds = config["training"]["seeds"]
-    rows = evalmod.prune_sweep(
+    train_config = _train_config(config["training"])
+    rows = training.prune_sweep(
         train, dev,
-        ModelConfig.from_dict(config["model"]),
-        TrainConfig(epochs=config["training"]["epochs"], seeds=(seeds[0],),
-                    lr=config["training"]["lr"],
-                    weight_decay=config["training"]["weight_decay"]),
-        z_values=config["z_values"], modes=config["sweep_modes"], seed=seeds[0],
-        diagnostics_path=(os.path.join(out_dir, "pools.jsonl") if out_dir else None),
-        log_progress=True)
-    table = evalmod.render_sweep_table(rows)
+        ModelConfig.from_dict(config["model"]), train_config,
+        z_values=config["z_values"], modes=config["sweep_modes"], seed=train_config.seeds[0],
+        diagnostics_path=(os.path.join(out_dir, "pools.jsonl") if out_dir else None))
+    table = training.render_sweep_table(rows)
     print(table)
     if out_dir:
         atomic_write_text(os.path.join(out_dir, "sweep.json"),
@@ -311,6 +308,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Per-epoch progress goes to stderr; stdout keeps only the results.
+    logging.basicConfig(level=logging.INFO)
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -23,10 +23,6 @@ from .pruning import SpanCandidate
 from .triplet import RELATION_CLASSES, TripletPrediction, decode_triplets, pair_distance_buckets
 
 
-# Mention class of each kind of term that direct extraction reads off the 3-class head.
-MENTION_KINDS = {"target": pruning.MENTION_TARGET, "opinion": pruning.MENTION_OPINION}
-
-
 @dataclass
 class ModelConfig:
     """Hyperparameters; defaults are the reference configuration.
@@ -127,10 +123,6 @@ class SentenceOutput:
     def pair_spans(self) -> list[tuple[Span, Span]]:
         return [(t.span, o.span) for t, o in self.pairs]
 
-    @property
-    def pool_size(self) -> int:
-        return len(self.target_pool)
-
     def argmax_spans(self, label: int) -> set[Span]:
         """Enumerated spans whose mention argmax is the class ``label``."""
         winners = self.mention_probs.argmax(axis=1)
@@ -195,8 +187,9 @@ class SpanModel:
         """Run the full pipeline on one sentence.
 
         ``pools`` optionally pins the candidate pools to fixed enumeration
-        indices, bypassing score-based pruning; gradient checks and pool
-        diagnostics use it to hold the selection constant.
+        indices, bypassing score-based pruning; gradient checks use it to
+        hold the selection constant. An index may repeat but must lie in
+        ``range(len(spans))``.
         """
         if training and rng is None:
             raise TrainingStateError("training-mode forward needs a seeded generator")
@@ -220,9 +213,12 @@ class SpanModel:
             for i, (span, probs) in enumerate(zip(spans, mention_probs.tolist()))
         ]
         if pools is not None:
-            by_index = {c.index: c for c in candidates}
-            target_pool = [by_index[i] for i in pools[0]]
-            opinion_pool = [by_index[i] for i in pools[1]]
+            for i in (*pools[0], *pools[1]):
+                if not 0 <= i < len(candidates):
+                    raise IndexError(f"pinned pool index {i} is outside the enumeration "
+                                     f"of {len(candidates)} spans")
+            target_pool = [candidates[i] for i in pools[0]]
+            opinion_pool = [candidates[i] for i in pools[1]]
         elif config.channel_mode == "dual":
             target_pool, opinion_pool = pruning.prune_dual_channel(candidates, n, config.z)
         else:
@@ -253,15 +249,6 @@ class SpanModel:
     def predict(self, tokens: Sequence[str]) -> list[TripletPrediction]:
         output = self.forward(tokens)
         return decode_triplets(output.pair_spans, output.relation_probs)
-
-    def mention_spans(self, tokens: Sequence[str], kind: str) -> set[Span]:
-        """Spans whose mention argmax is the requested type, over the full enumeration."""
-        if self.config.channel_mode != "dual":
-            raise ConfigurationError(
-                "direct target/opinion extraction needs the 3-class mention head")
-        if kind not in MENTION_KINDS:
-            raise ConfigurationError(f"kind must be 'target' or 'opinion', got {kind!r}")
-        return self.forward(tokens).argmax_spans(MENTION_KINDS[kind])
 
     # -- persistence ----------------------------------------------------------
 

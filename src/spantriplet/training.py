@@ -1,28 +1,36 @@
-"""Gold label assignment, the joint loss, and the experiment loop.
+"""Gold label assignment, the joint loss, and the experiment loops.
 
 Supervision is exact-match: an enumerated span is a target/opinion mention
 only when it equals a gold span, and a candidate pair carries a sentiment
 label only when both spans match a gold triplet. Parameters update after
 every sentence (batch size 1) with AdamW at a constant learning rate; the
 checkpoint kept per seed is the one maximizing dev triplet F1.
+
+``train_single_seed`` is the only code that trains a model. Both
+experiments run it: ``run_experiment`` (the seeded protocol, scored on
+test) and ``prune_sweep`` (one model per pruning setting, with the pool
+records of the best epoch's dev pass).
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import numbers
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
-from .data import Sentence
-from .encoder import Span
-from .errors import DataError, NumericalError
+from .data import Sentence, atomic_write_text
+from .encoder import Span, Vocabulary
+from .errors import ConfigurationError, DataError, NumericalError
+from .evaluation import PRF, CorpusPass, corpus_pass
 from .model import SentenceOutput, SpanModel
 from .pruning import (MENTION_INVALID, MENTION_OPINION, MENTION_TARGET,
                       SINGLE_INVALID, SINGLE_VALID, SpanCandidate)
@@ -231,8 +239,6 @@ class ExperimentReport:
 
     def pooled_counts_prf(self) -> tuple[float, float, float]:
         """PRF of the summed tp/fp/fn over seeds, the other averaging convention."""
-        from .evaluation import PRF
-
         tp = sum(r.test_counts[0] for r in self.seed_results)
         fp = sum(r.test_counts[1] for r in self.seed_results)
         fn = sum(r.test_counts[2] for r in self.seed_results)
@@ -265,11 +271,16 @@ class ExperimentReport:
 
 
 def train_single_seed(model: SpanModel, train: Sequence[Sentence],
-                      dev: Sequence[Sentence], config: TrainConfig, seed: int,
-                      log_progress: bool = False) -> tuple[list[float], int, dict]:
-    """Train one model; returns (dev F1 curve, best epoch, best parameter arrays)."""
-    from .evaluation import triplet_prf_for_model
+                      dev: Sequence[Sentence], config: TrainConfig,
+                      seed: int) -> tuple[list[float], int, CorpusPass]:
+    """Train one model and leave it in its best-dev state.
 
+    Returns the dev F1 curve, the best epoch and that epoch's dev pass, so
+    nothing needs to run dev again on the restored model.
+    """
+    config.validate()
+    if not dev:
+        raise DataError("dev split is empty")
     gap = model.config.max_span_gap
     too_wide = sum(j - i > gap for s in train for i, j in s.target_spans() | s.opinion_spans())
     if too_wide:
@@ -278,32 +289,24 @@ def train_single_seed(model: SpanModel, train: Sequence[Sentence],
     optimizer = make_optimizer(model, config)
     rng = np.random.default_rng(seed)
     curve: list[float] = []
-    best_f1 = -1.0
-    best_epoch = -1
-    best_state = model.state_arrays()
     for epoch in range(config.epochs):
         stats = train_epoch(model, train, optimizer, rng)
-        dev_f1 = triplet_prf_for_model(model, dev).f1
+        dev_pass = corpus_pass(model, dev)
+        dev_f1 = dev_pass.score().f1
+        logger.info("seed %d epoch %d: loss %.4f, dev F1 %.4f",
+                    seed, epoch, stats.mean_loss, dev_f1)
+        if not curve or dev_f1 > curve[best_epoch]:
+            best_epoch, best_pass, best_state = epoch, dev_pass, model.state_arrays()
         curve.append(dev_f1)
-        if log_progress:
-            logger.info("seed %d epoch %d: loss %.4f, dev F1 %.4f",
-                        seed, epoch, stats.mean_loss, dev_f1)
-        if dev_f1 > best_f1:
-            best_f1 = dev_f1
-            best_epoch = epoch
-            best_state = model.state_arrays()
-    return curve, best_epoch, best_state
+    model.load_state_arrays(best_state)
+    return curve, best_epoch, best_pass
 
 
 def run_experiment(train: Sequence[Sentence], dev: Sequence[Sentence],
                    test: Sequence[Sentence], model_config, train_config: TrainConfig,
                    *, pretrained_embeddings: dict[str, np.ndarray] | None = None,
-                   out_dir: str | None = None,
-                   log_progress: bool = False) -> ExperimentReport:
+                   out_dir: str | None = None) -> ExperimentReport:
     """Full protocol: per seed, select the best-dev checkpoint and score it on test."""
-    from .encoder import Vocabulary
-    from .evaluation import triplet_prf_for_model
-
     for name, split in (("train", train), ("dev", dev), ("test", test)):
         if not split:
             raise DataError(f"{name} split is empty")
@@ -313,18 +316,96 @@ def run_experiment(train: Sequence[Sentence], dev: Sequence[Sentence],
     for seed in train_config.seeds:
         model = SpanModel(model_config, vocab, seed=seed,
                           pretrained_embeddings=pretrained_embeddings)
-        curve, best_epoch, best_state = train_single_seed(
-            model, train, dev, train_config, seed, log_progress)
-        model.load_state_arrays(best_state)
+        curve, best_epoch, _ = train_single_seed(model, train, dev, train_config, seed)
         checkpoint_path = None
         if out_dir is not None:
-            import os
-
             checkpoint_path = os.path.join(out_dir, f"seed{seed}.ckpt.npz")
             model.save(checkpoint_path, extra_meta={"seed": seed, "best_epoch": best_epoch})
-        prf = triplet_prf_for_model(model, test)
+        prf = corpus_pass(model, test).score()
         report.seed_results.append(SeedResult(
             seed=seed, best_epoch=best_epoch, dev_f1_curve=curve,
             test_precision=prf.precision, test_recall=prf.recall, test_f1=prf.f1,
             test_counts=(prf.tp, prf.fp, prf.fn), checkpoint_path=checkpoint_path))
     return report
+
+
+# ---------------------------------------------------------------------------
+# Pruning sweep
+# ---------------------------------------------------------------------------
+
+SWEEP_MODES = ("dual", "single", "sc_adjusted")
+
+
+@dataclass
+class SweepRow:
+    z: float
+    mode: str
+    effective_z: float
+    dev_f1: float
+    mean_pool_size: float
+    mean_pair_count: float
+    target_recall: float
+    opinion_recall: float
+
+    def as_dict(self) -> dict:
+        return dict(self.__dict__)
+
+
+def prune_sweep(train: Sequence[Sentence], dev: Sequence[Sentence], model_config,
+                train_config: TrainConfig, z_values: Sequence[float],
+                modes: Sequence[str] = SWEEP_MODES, seed: int = 0,
+                diagnostics_path: str | None = None) -> list[SweepRow]:
+    """Train one model per (z, mode) and report dev F1 plus pool accounting.
+
+    ``sc_adjusted`` is the single-channel setting run at threshold 2z so it
+    considers at least as many candidates per role as the dual-channel run,
+    which costs about four times the pairs. The pool accounting comes from
+    the best epoch's dev pass; ``diagnostics_path`` receives its per-sentence
+    records as JSON lines.
+    """
+    if not z_values:
+        raise DataError("the sweep needs at least one z value")
+    for mode in modes:
+        if mode not in SWEEP_MODES:
+            raise ConfigurationError(f"unknown sweep mode {mode!r}")
+    vocab = Vocabulary.build(s.tokens for s in train)
+    rows = []
+    diagnostics: list[dict] = []
+    for z in z_values:
+        for mode in modes:
+            channel = "dual" if mode == "dual" else "single"
+            effective_z = 2 * z if mode == "sc_adjusted" else z
+            config = replace(model_config, z=effective_z, channel_mode=channel)
+            model = SpanModel(config, vocab, seed=seed)
+            curve, best_epoch, dev_pass = train_single_seed(model, train, dev,
+                                                            train_config, seed)
+            records = dev_pass.pool_records()
+            for record in records:
+                record.update({"z": z, "mode": mode})
+            diagnostics.extend(records)
+            k_values = [r["k"] for r in records]
+            gold_t = sum(r["gold_targets"] for r in records)
+            kept_t = sum(r["gold_targets_kept"] for r in records)
+            gold_o = sum(r["gold_opinions"] for r in records)
+            kept_o = sum(r["gold_opinions_kept"] for r in records)
+            rows.append(SweepRow(
+                z=z, mode=mode, effective_z=effective_z, dev_f1=curve[best_epoch],
+                mean_pool_size=float(np.mean(k_values)),
+                mean_pair_count=float(np.mean([k * k for k in k_values])),
+                target_recall=kept_t / gold_t if gold_t else 0.0,
+                opinion_recall=kept_o / gold_o if gold_o else 0.0,
+            ))
+    if diagnostics_path is not None:
+        atomic_write_text(diagnostics_path, "".join(json.dumps(r) + "\n" for r in diagnostics))
+    return rows
+
+
+def render_sweep_table(rows: Sequence[SweepRow]) -> str:
+    header = (f"{'z':<8}{'mode':<14}{'eff_z':<8}{'dev_F1':>10}{'pool':>8}"
+              f"{'pairs':>10}{'t_recall':>10}{'o_recall':>10}")
+    lines = [header]
+    for r in rows:
+        lines.append(f"{r.z:<8.4g}{r.mode:<14}{r.effective_z:<8.4g}{r.dev_f1:>10.4f}"
+                     f"{r.mean_pool_size:>8.2f}{r.mean_pair_count:>10.2f}"
+                     f"{r.target_recall:>10.4f}{r.opinion_recall:>10.4f}")
+    return "\n".join(lines)

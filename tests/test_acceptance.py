@@ -236,20 +236,25 @@ def test_criterion_5_metric_oracle_equivalence():
         if case % 5 == 0:  # model-driven route on every fifth corpus
             batch = [corpus[int(rng.integers(len(corpus)))] for _ in range(2)]
             batch = [Sentence(i, s.tokens, s.triplets) for i, s in enumerate(batch)]
+            report = ev.evaluate_model(model, batch)
+            predicted = {s.id: {(p.target, p.opinion, p.sentiment)
+                                for p in model.predict(s.tokens)} for s in batch}
+            gold_keys = {s.id: s.triplet_keys() for s in batch}
+            got = report["triplet"]["all"]
+            assert (got["tp"], got["fp"], got["fn"]) == _brute_counts(
+                gold_keys, predicted, predicates["all"], "both")
             for task, attr in (("ATE", "target"), ("OTE", "opinion")):
-                prf = ev.mention_prf(model, batch, task)
                 wanted = {"ATE": pruning.MENTION_TARGET,
                           "OTE": pruning.MENTION_OPINION}[task]
                 tp = fp = fn = 0
                 for s in batch:
-                    out = model.forward(s.tokens)
-                    labels = out.mention_probs.argmax(axis=1)
-                    p = {span for span, lab in zip(out.spans, labels) if lab == wanted}
+                    p = model.forward(s.tokens).argmax_spans(wanted)
                     g = {getattr(t, attr) for t in s.triplets}
                     tp += len(g & p)
                     fp += len(p - g)
                     fn += len(g - p)
-                assert (prf.tp, prf.fp, prf.fn) == (tp, fp, fn)
+                got = report["mention_direct"][task]
+                assert (got["tp"], got["fp"], got["fn"]) == (tp, fp, fn)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     announce(5, "metric oracle equivalence", f"1000 corpora, {elapsed:.1f}s")
@@ -261,15 +266,13 @@ MEMORIZATION_CONFIG = ModelConfig(embedding_dim=16, lstm_hidden=12, ffnn_hidden=
 
 
 def _memorize(fixture, seed, max_epochs=300):
-    from spantriplet.evaluation import triplet_prf_for_model
-
     vocab = Vocabulary.build(s.tokens for s in fixture)
     model = SpanModel(MEMORIZATION_CONFIG, vocab, seed=seed)
     optimizer = make_optimizer(model, TrainConfig())  # constant lr 1e-3
     rng = np.random.default_rng(seed)
     for epoch in range(max_epochs):
         train_epoch(model, fixture, optimizer, rng)
-        if triplet_prf_for_model(model, fixture).f1 == 1.0:
+        if ev.corpus_pass(model, fixture).score().f1 == 1.0:
             return epoch, model.state_arrays()
     return None, model.state_arrays()
 

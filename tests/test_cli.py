@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spantriplet
 from spantriplet import data as dataio
 from spantriplet.cli import main
 from spantriplet.data import make_fixture
@@ -85,6 +88,18 @@ class TestTrain:
         echoed = read_json(run / "config.json")
         assert echoed["model"]["embedding_dim"] == 6
         assert echoed["training"]["epochs"] == 2
+
+    def test_progress_goes_to_stderr(self, config_path):
+        # A fresh interpreter: inside pytest the root logger already has
+        # handlers, so the CLI's logging setup would not take effect.
+        src = os.path.dirname(os.path.dirname(spantriplet.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-m", "spantriplet.cli", "train",
+                               "--config", config_path], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert "seed 0 epoch 1: loss" in proc.stderr
+        assert "seed 0 epoch" not in proc.stdout
 
     def test_rerun_from_echoed_config_reproduces_report(self, config_path, tmp_path):
         assert main(["train", "--config", config_path]) == 0

@@ -1,3 +1,4 @@
+import json
 import weakref
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from spantriplet import evaluation as ev
+from spantriplet import training
 from spantriplet.data import GoldTriplet, Sentence, make_fixture
 from spantriplet.encoder import Vocabulary, span_width
 from spantriplet.errors import ConfigurationError, DataError
@@ -144,14 +146,13 @@ class TestMentionMetrics:
         for p in model.mention_ffnn.parameters():
             p.data[...] = 0.0
         model.mention_ffnn.biases[-1].data[...] = [-40.0, -40.0, 40.0]
-        prf = ev.mention_prf(model, fixture, "ATE")
-        assert prf.tp == 0 and prf.precision == 0.0 and prf.recall == 0.0
+        prf = ev.evaluate_model(model, fixture)["mention_direct"]["ATE"]
+        assert prf["tp"] == 0 and prf["precision"] == 0.0 and prf["recall"] == 0.0
 
     def test_unknown_task_rejected(self):
         fixture = make_fixture(np.random.default_rng(4), 3)
-        model = self.make_model(fixture)
         with pytest.raises(ConfigurationError):
-            ev.mention_prf(model, fixture, "ASTE")
+            ev.mention_prf_from_triplets({}, fixture, "ASTE")
 
     def test_from_triplets_ignores_sentiment(self):
         sentence = Sentence(0, "the pie is great .".split(),
@@ -192,17 +193,22 @@ class TestMentionMetrics:
 
 
 def reference_report(model, sentences, modes=ev.EVAL_MODES):
-    """``evaluate_model`` composed from one public call per part, as an oracle."""
+    """``evaluate_model`` composed from ``SpanModel.predict`` and a separate
+    forward per sentence for the directly typed spans, as an oracle."""
     gold = ev.gold_triplet_sets(sentences)
-    predictions = ev.predict_corpus(model, sentences)
+    predictions = {s.id: model.predict(s.tokens) for s in sentences}
     keys = ev.predictions_to_keys(predictions)
     report = {side: {mode: ev.triplet_prf(gold, keys, mode, filter_side).as_dict()
                      for mode in modes}
               for side, filter_side in (("triplet", "both"),
                                         ("triplet_gold_side_filter", "gold"))}
     if model.config.channel_mode == "dual":
-        report["mention_direct"] = {task: ev.mention_prf(model, sentences, task).as_dict()
-                                    for task in ev.MENTION_TASKS}
+        report["mention_direct"] = {}
+        for task, kind in ev.MENTION_TASKS.items():
+            gold_spans = {s.id: {getattr(t, kind) for t in s.triplets} for s in sentences}
+            typed = {s.id: model.forward(s.tokens).argmax_spans(ev.MENTION_KINDS[kind])
+                     for s in sentences}
+            report["mention_direct"][task] = ev.match_span_sets(gold_spans, typed).as_dict()
     report["mention_from_triplets"] = {
         task: ev.mention_prf_from_triplets(predictions, sentences, task).as_dict()
         for task in ev.MENTION_TASKS}
@@ -210,12 +216,15 @@ def reference_report(model, sentences, modes=ev.EVAL_MODES):
 
 
 def guard_forwards(model):
-    """Wrap ``model.forward`` to count calls and to assert that no earlier
-    forward's output is still alive when the next one starts."""
+    """Wrap ``model.forward`` to count its no-dropout calls and to assert
+    that no earlier such call's output is still alive when the next starts.
+    Training forwards pass through uncounted."""
     calls = []
     forward = model.forward
 
     def counting_forward(*args, **kwargs):
+        if kwargs.get("training"):
+            return forward(*args, **kwargs)
         # The previous sentence's graph must be gone before the next one
         # is built, or peak memory doubles on long sentences.
         assert all(ref() is None for ref in calls)
@@ -253,7 +262,7 @@ class TestPoolDiagnostics:
         # not enter initialisation, so every model has the same parameters.
         for z in (0.125, 0.25, 0.5, 1.0, 2.0, 9.0):
             model = SpanModel(replace(TEST_CONFIG, z=z), vocab, seed=1)
-            records = ev.pool_diagnostics(model, fixture)
+            records = ev.corpus_pass(model, fixture).pool_records()
             kept = sum(r["gold_targets_kept"] + r["gold_opinions_kept"] for r in records)
             total = sum(r["gold_targets"] + r["gold_opinions"] for r in records)
             recalls.append(kept / total)
@@ -265,33 +274,30 @@ class TestPoolDiagnostics:
         vocab = Vocabulary.build(s.tokens for s in fixture)
         model = SpanModel(TEST_CONFIG, vocab, seed=1)
         calls = guard_forwards(model)
-        records = ev.pool_diagnostics(model, fixture)
+        records = ev.corpus_pass(model, fixture).pool_records()
         assert len(calls) == len(fixture)
         for record, sentence in zip(records, fixture):
             assert record["n"] == len(sentence.tokens)
             assert len(record["target_pool"]) == record["k"]
 
     def test_diagnostics_file_is_json_lines(self, tmp_path):
-        import json
-
         fixture = make_fixture(np.random.default_rng(8), 4)
-        vocab = Vocabulary.build(s.tokens for s in fixture)
-        model = SpanModel(TEST_CONFIG, vocab, seed=1)
         path = str(tmp_path / "pools.jsonl")
-        ev.write_diagnostics(path, ev.pool_diagnostics(model, fixture))
+        training.prune_sweep(fixture, fixture, TEST_CONFIG, TrainConfig(epochs=1, seeds=(0,)),
+                             z_values=[0.5], modes=("dual",), diagnostics_path=path)
         with open(path) as handle:
             lines = [json.loads(line) for line in handle]
         assert len(lines) == 4
-        assert {"sentence", "n", "k"} <= set(lines[0])
+        assert {"sentence", "n", "k", "z", "mode"} <= set(lines[0])
 
 
 class TestPruneSweep:
     def test_sweep_accounting_and_sc_adjusted_ratio(self, tmp_path):
         fixture = make_fixture(np.random.default_rng(9), 8)
-        rows = ev.prune_sweep(fixture, fixture, TEST_CONFIG,
-                              TrainConfig(epochs=1, seeds=(0,)),
-                              z_values=[0.5], seed=0,
-                              diagnostics_path=str(tmp_path / "pools.jsonl"))
+        rows = training.prune_sweep(fixture, fixture, TEST_CONFIG,
+                                    TrainConfig(epochs=1, seeds=(0,)),
+                                    z_values=[0.5], seed=0,
+                                    diagnostics_path=str(tmp_path / "pools.jsonl"))
         by_mode = {r.mode: r for r in rows}
         assert set(by_mode) == {"dual", "single", "sc_adjusted"}
         assert by_mode["sc_adjusted"].effective_z == 1.0
@@ -302,27 +308,68 @@ class TestPruneSweep:
         ratio = by_mode["sc_adjusted"].mean_pair_count / by_mode["single"].mean_pair_count
         assert 3.0 <= ratio <= 4.0
 
-    def test_dev_f1_is_that_of_the_restored_best_model(self, monkeypatch):
+    def test_dev_scores_and_pool_records_are_those_of_the_restored_best_model(
+            self, monkeypatch, tmp_path):
         fixture = make_fixture(np.random.default_rng(11), 6)
         fresh = []
-        diagnostics = ev.pool_diagnostics
+        train_single_seed = training.train_single_seed
 
-        def scoring_diagnostics(model, dev):
-            # Runs on each model right after its best state is restored.
-            fresh.append(ev.triplet_prf_for_model(model, dev).f1)
-            return diagnostics(model, dev)
+        def rescoring_train_single_seed(model, train, dev, *args):
+            result = train_single_seed(model, train, dev, *args)
+            # The model is back in its best-dev state here; score it anew.
+            fresh.append(ev.corpus_pass(model, dev))
+            return result
 
-        monkeypatch.setattr(ev, "pool_diagnostics", scoring_diagnostics)
+        monkeypatch.setattr(training, "train_single_seed", rescoring_train_single_seed)
         # Wide enough to score some triplets within a few epochs.
         config = replace(TEST_CONFIG, embedding_dim=16, lstm_hidden=12, ffnn_hidden=16,
                          width_dim=4, distance_dim=6)
-        rows = ev.prune_sweep(fixture, fixture, config,
-                              TrainConfig(epochs=12, seeds=(0,)), z_values=[0.5], seed=0)
-        assert [r.dev_f1 for r in rows] == fresh
-        assert max(fresh) > 0.0
+        path = tmp_path / "pools.jsonl"
+        rows = training.prune_sweep(fixture, fixture, config,
+                                    TrainConfig(epochs=12, seeds=(0,)), z_values=[0.5],
+                                    seed=0, diagnostics_path=str(path))
+        assert [r.dev_f1 for r in rows] == [p.score().f1 for p in fresh]
+        assert max(r.dev_f1 for r in rows) > 0.0
+        expected = [dict(record, z=0.5, mode=row.mode)
+                    for row, p in zip(rows, fresh) for record in p.pool_records()]
+        written = [json.loads(line) for line in path.read_text().splitlines()]
+        assert written == json.loads(json.dumps(expected))
+
+    def test_each_epoch_scores_dev_once_and_the_sweep_never_again(self, monkeypatch):
+        fixture = make_fixture(np.random.default_rng(12), 6)
+        dev = fixture[:4]
+        guarded = []
+        train_single_seed = training.train_single_seed
+
+        def guarded_train_single_seed(model, *args):
+            calls = guard_forwards(model)
+            result = train_single_seed(model, *args)
+            guarded.append((calls, len(calls)))
+            return result
+
+        monkeypatch.setattr(training, "train_single_seed", guarded_train_single_seed)
+        training.prune_sweep(fixture, dev, TEST_CONFIG, TrainConfig(epochs=2, seeds=(0,)),
+                             z_values=[0.5], modes=("dual", "single"), seed=0)
+        assert len(guarded) == 2
+        for calls, at_return in guarded:
+            assert at_return == 2 * len(dev)
+            assert len(calls) == at_return
 
     def test_needs_z_values(self):
         fixture = make_fixture(np.random.default_rng(10), 4)
         with pytest.raises(DataError):
-            ev.prune_sweep(fixture, fixture, TEST_CONFIG,
-                           TrainConfig(epochs=1, seeds=(0,)), z_values=[])
+            training.prune_sweep(fixture, fixture, TEST_CONFIG,
+                                 TrainConfig(epochs=1, seeds=(0,)), z_values=[])
+
+    def test_empty_dev_split_is_an_input_error(self):
+        fixture = make_fixture(np.random.default_rng(10), 4)
+        with pytest.raises(DataError, match="dev"):
+            training.prune_sweep(fixture, [], TEST_CONFIG,
+                                 TrainConfig(epochs=1, seeds=(0,)), z_values=[0.5])
+
+    @pytest.mark.parametrize("bad", [{"epochs": 0}, {"lr": -1.0}], ids=["epochs", "lr"])
+    def test_train_config_is_validated(self, bad):
+        fixture = make_fixture(np.random.default_rng(10), 4)
+        with pytest.raises(DataError, match=next(iter(bad))):
+            training.prune_sweep(fixture, fixture, TEST_CONFIG,
+                                 TrainConfig(seeds=(0,), **bad), z_values=[0.5])

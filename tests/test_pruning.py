@@ -187,15 +187,6 @@ class TestSingleChannelPipeline:
             again.forward(fixture[0].tokens).mention_probs,
             model.forward(fixture[0].tokens).mention_probs)
 
-    def test_direct_term_extraction_requires_dual_head(self):
-        fixture = make_fixture(np.random.default_rng(21), 3)
-        vocab = Vocabulary.build(s.tokens for s in fixture)
-        config = ModelConfig(embedding_dim=6, lstm_hidden=4, ffnn_hidden=5,
-                             width_dim=3, distance_dim=3, channel_mode="single")
-        model = SpanModel(config, vocab, seed=0)
-        with pytest.raises(ConfigurationError):
-            model.mention_spans(fixture[0].tokens, "target")
-
 
 class TestGradientBlocking:
     def make_model(self):

@@ -133,7 +133,7 @@ class TestLoss:
         parts = compute_loss(out, sentence)
         n_spans = len(out.spans)
         n_pairs = len(out.pairs)
-        assert n_pairs == out.pool_size ** 2
+        assert n_pairs == len(out.target_pool) ** 2 == len(out.opinion_pool) ** 2
         expected = n_spans * math.log(3.0) + n_pairs * math.log(4.0)
         assert parts.total.item() == pytest.approx(expected, rel=1e-12)
 

@@ -110,6 +110,14 @@ class TestPairRepresentation:
             for b, o in enumerate(out.opinion_pool):
                 assert out.pairs[a * ko + b] == (t, o)
 
+    @pytest.mark.parametrize("pools", [([4, 0], [999]), ([-1], [2])],
+                             ids=["past_end", "negative"])
+    def test_out_of_range_pinned_index_is_rejected(self, pools):
+        model, tokens = tiny_model()
+        size = len(model.forward(tokens).spans)
+        with pytest.raises(IndexError, match=f"enumeration of {size} spans"):
+            model.forward(tokens, pools=pools)
+
     def test_model_relation_probabilities_sum_to_one(self):
         model, tokens = tiny_model()
         probs = model.forward(tokens).relation_probs
