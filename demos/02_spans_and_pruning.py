@@ -6,6 +6,7 @@ import numpy as np
 from spantriplet.data import make_fixture
 from spantriplet.encoder import Vocabulary, bucket_index, enumerate_spans
 from spantriplet.model import ModelConfig, SpanModel
+from spantriplet.pruning import MENTION_OPINION, MENTION_TARGET
 
 # --- enumeration -------------------------------------------------------------
 
@@ -51,7 +52,7 @@ def show(pool, score):
 
 
 print("  target pool (by target probability):")
-show(output.target_pool, lambda c: c.target_prob)
+show(output.target_pool, lambda c: c.probs[MENTION_TARGET])
 print("  opinion pool (by opinion probability):")
-show(output.opinion_pool, lambda c: c.opinion_prob)
+show(output.opinion_pool, lambda c: c.probs[MENTION_OPINION])
 print("\n(untrained scores are near-uniform; demo 03 trains them into shape)")

@@ -612,14 +612,6 @@ class FeedForward:
             biases.append(Parameter(np.zeros(d_out), name=f"{name}.b{i}"))
         return cls(weights, biases, dropout_p)
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def parameters(self) -> list[Parameter]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 

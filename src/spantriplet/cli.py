@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Subcommands: train, eval, predict, stats, prune-sweep. Options can come
-from a JSON config file (--config) and individual flags; flags win. Runs
-that produce output directories echo their full configuration there
-before any work starts, and every file is written atomically.
+Subcommands: train, eval, predict, stats, prune-sweep. Each accepts only
+the flags it reads. train and prune-sweep also read a JSON config file
+(--config) whose keys must all be ones the command reads; flags win.
+Both echo the configuration they run into their output directory before
+any work starts, and every file is written atomically. eval and predict
+take the model and its configuration from the checkpoint.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
 3 numerical failure during training.
@@ -38,46 +40,51 @@ def build_parser() -> _Parser:
                      description="Span-level sentiment triplet extraction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_training_flags(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--train", dest="train_path", help="training corpus")
-        p.add_argument("--dev", dest="dev_path", help="development corpus")
-        p.add_argument("--test", dest="test_path", help="evaluation corpus")
-        p.add_argument("--embeddings", help="pretrained embedding text file")
-        p.add_argument("--out", help="output directory (or file for predict)")
+        p.add_argument("--dev", dest="dev_path",
+                       help="development corpus (default: the training corpus)")
+        p.add_argument("--out", help="output directory")
         p.add_argument("--seeds", "--seed", nargs="+", type=int, dest="seeds",
-                       help="random seeds, one run per seed")
+                       help="random seeds: train runs once per seed, prune-sweep "
+                       "takes one (default 0)")
         p.add_argument("--span-mode", choices=SPAN_MODES)
-        p.add_argument("--z", type=float, help="pruning threshold")
-        p.add_argument("--channel-mode", choices=CHANNEL_MODES)
         p.add_argument("--max-span-width", type=int,
                        help="span width limit: spans satisfy end - start <= N")
         p.add_argument("--epochs", type=int)
-        p.add_argument("--modes", nargs="+", choices=evalmod.EVAL_MODES,
-                       help="evaluation modes to report")
 
     p_train = sub.add_parser("train", help="train models and report test metrics")
-    add_common(p_train)
+    add_training_flags(p_train)
+    p_train.add_argument("--test", dest="test_path",
+                         help="test corpus (default: the development corpus)")
+    p_train.add_argument("--embeddings", help="pretrained embedding text file")
+    p_train.add_argument("--z", type=float, help="pruning threshold")
+    p_train.add_argument("--channel-mode", choices=CHANNEL_MODES)
 
     p_eval = sub.add_parser("eval", help="score a checkpoint on a corpus")
-    add_common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
+    p_eval.add_argument("--test", required=True, help="corpus to score")
+    p_eval.add_argument("--out", help="also write eval.json and eval.txt to this directory")
+    p_eval.add_argument("--modes", nargs="+", choices=evalmod.EVAL_MODES,
+                        default=list(evalmod.EVAL_MODES), help="evaluation modes to report")
 
     p_predict = sub.add_parser("predict", help="write predicted triplets for a corpus")
-    add_common(p_predict)
     p_predict.add_argument("--checkpoint", required=True)
+    p_predict.add_argument("--test", required=True, help="corpus to predict")
+    p_predict.add_argument("--out", required=True, help="prediction file")
 
     p_stats = sub.add_parser("stats", help="corpus statistics table")
     p_stats.add_argument("corpora", nargs="+", help="corpus files")
     p_stats.add_argument("--out", help="also write machine-readable stats JSON here")
 
     p_sweep = sub.add_parser("prune-sweep",
-                             help="train across pruning settings and tabulate")
-    add_common(p_sweep)
+                             help="train one seed across pruning settings and tabulate")
+    add_training_flags(p_sweep)
     p_sweep.add_argument("--z-values", nargs="+", type=float,
                          help="thresholds to sweep")
-    p_sweep.add_argument("--sweep-modes", nargs="+",
-                         choices=training.SWEEP_MODES, default=list(training.SWEEP_MODES))
+    p_sweep.add_argument("--sweep-modes", nargs="+", choices=training.SWEEP_MODES,
+                         help=f"default: {' '.join(training.SWEEP_MODES)}")
     return parser
 
 
@@ -85,9 +92,16 @@ def build_parser() -> _Parser:
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-_PATH_KEYS = ("train_path", "dev_path", "test_path", "embeddings", "out")
+# The config-file sections and "paths" keys each training command reads.
+# "command" is accepted too, so that an echoed config.json is a valid --config.
+_SECTIONS = {"train": ("paths", "model", "training"),
+             "prune-sweep": ("paths", "model", "training", "z_values", "sweep_modes")}
+_PATH_KEYS = {"train": ("train_path", "dev_path", "test_path", "embeddings", "out"),
+              "prune-sweep": ("train_path", "dev_path", "out")}
 _FLAG_TO_MODEL = {"span_mode": "span_mode", "z": "z", "channel_mode": "channel_mode",
                   "max_span_width": "max_span_gap"}
+# The model fields prune-sweep sets itself, per (z, mode) setting.
+_SWEPT_FIELDS = ("z", "channel_mode")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -105,57 +119,70 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
-def resolve_config(args) -> dict:
-    """Merge defaults, config file, and flags into one echoable run config."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+def _reject_unread(keys, read: tuple[str, ...], where: str, command: str) -> None:
+    unread = sorted(set(keys) - set(read))
+    if unread:
+        raise UsageError(f"{command} does not read {where} {unread}; it reads {list(read)}")
+
+
+def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
+    """Merge defaults, config file, and flags for train or prune-sweep.
+
+    Returns the run's echo, which holds only what the command reads, and
+    the model and training configs it records.
+    """
+    command = args.command
+    file_cfg = _load_config_file(args.config)
+    _reject_unread(file_cfg, ("command",) + _SECTIONS[command], "config keys", command)
+    paths = dict(file_cfg.get("paths", {}))
+    _reject_unread(paths, _PATH_KEYS[command], "paths keys", command)
     model_cfg = dict(file_cfg.get("model", {}))
     train_cfg = dict(file_cfg.get("training", {}))
-    paths = dict(file_cfg.get("paths", {}))
+    if command == "prune-sweep":
+        swept = sorted(set(model_cfg) & set(_SWEPT_FIELDS))
+        if swept:
+            raise UsageError(f"prune-sweep sets model {swept} from --z-values and "
+                             "--sweep-modes; remove them from the config file")
+        train_cfg.setdefault("seeds", [0])
 
-    for key in _PATH_KEYS:
-        value = getattr(args, key, None)
+    for key in _PATH_KEYS[command]:
+        value = getattr(args, key)
         if value is not None:
             paths[key] = value
     for flag, field in _FLAG_TO_MODEL.items():
         value = getattr(args, flag, None)
         if value is not None:
             model_cfg[field] = value
-    if getattr(args, "seeds", None) is not None:
+    if args.seeds is not None:
         train_cfg["seeds"] = list(args.seeds)
-    if getattr(args, "epochs", None) is not None:
+    if args.epochs is not None:
         train_cfg["epochs"] = args.epochs
 
     model = ModelConfig.from_dict(model_cfg)
+    _reject_unread(train_cfg, ("epochs", "seeds", "lr", "weight_decay"), "training keys",
+                   command)
     try:
-        train_config = _train_config(train_cfg)
+        train_config = training.TrainConfig(**{k: tuple(v) if k == "seeds" else v
+                                               for k, v in train_cfg.items()})
         train_config.validate()
     except DataError as exc:
         raise UsageError(str(exc))
-    modes = getattr(args, "modes", None) or file_cfg.get("modes") or list(evalmod.EVAL_MODES)
-    return {
-        "command": args.command,
-        "paths": paths,
-        "model": model.as_dict(),
-        "training": train_config.as_dict(),
-        "modes": list(modes),
-        "z_values": (getattr(args, "z_values", None)
-                     or file_cfg.get("z_values") or []),
-        "sweep_modes": list(getattr(args, "sweep_modes", None)
-                            or file_cfg.get("sweep_modes", training.SWEEP_MODES)),
-    }
+    echo = {"command": command, "paths": paths, "model": model.as_dict(),
+            "training": train_config.as_dict()}
+    if command == "prune-sweep":
+        # prune_sweep refuses this too, but only after the echo has been written.
+        if len(train_config.seeds) > 1:
+            raise UsageError(f"prune-sweep trains one seed, got seeds {list(train_config.seeds)}")
+        for field in _SWEPT_FIELDS:
+            del echo["model"][field]
+        echo["z_values"] = args.z_values or file_cfg.get("z_values") or []
+        echo["sweep_modes"] = list(args.sweep_modes or file_cfg.get("sweep_modes")
+                                   or training.SWEEP_MODES)
+    return echo, model, train_config
 
 
-def _train_config(raw: dict) -> training.TrainConfig:
-    """The TrainConfig of a config file's or an echoed run's "training" section."""
-    unknown = set(raw) - {"epochs", "seeds", "lr", "weight_decay"}
-    if unknown:
-        raise UsageError(f"unknown training config fields: {sorted(unknown)}")
-    return training.TrainConfig(**{k: tuple(v) if k == "seeds" else v
-                                   for k, v in raw.items()})
-
-
-def _require(config: dict, key: str, flag: str) -> str:
-    value = config["paths"].get(key)
+def _require(paths: dict, key: str, flag: str) -> str:
+    value = paths.get(key)
     if not value:
         raise UsageError(f"missing required path: {flag}")
     return value
@@ -167,17 +194,15 @@ def _load_split(path: str):
     return dataio.load_corpus(path)
 
 
-def _load_embeddings_if_any(config: dict):
-    path = config["paths"].get("embeddings")
+def _load_embeddings_if_any(path: str | None, model: ModelConfig):
     if not path:
         return None
     if not os.path.exists(path):
         raise DataError(f"embedding file not found: {path}")
     vectors, dim = load_embedding_file(path)
-    if dim != config["model"]["embedding_dim"]:
+    if dim != model.embedding_dim:
         raise ConfigurationError(
-            f"embedding file width {dim} != configured embedding_dim "
-            f"{config['model']['embedding_dim']}")
+            f"embedding file width {dim} != configured embedding_dim {model.embedding_dim}")
     return vectors
 
 
@@ -192,22 +217,23 @@ def _echo_config(config: dict, out_dir: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    config = resolve_config(args)
-    train_path = _require(config, "train_path", "--train")
-    dev_path = config["paths"].get("dev_path") or train_path
-    test_path = config["paths"].get("test_path") or dev_path
-    config["paths"].setdefault("dev_path", dev_path)
-    config["paths"].setdefault("test_path", test_path)
-    out_dir = _require(config, "out", "--out")
+    config, model_config, train_config = resolve_config(args)
+    paths = config["paths"]
+    train_path = _require(paths, "train_path", "--train")
+    dev_path = paths.get("dev_path") or train_path
+    test_path = paths.get("test_path") or dev_path
+    paths.setdefault("dev_path", dev_path)
+    paths.setdefault("test_path", test_path)
+    out_dir = _require(paths, "out", "--out")
     _echo_config(config, out_dir)
 
     train = _load_split(train_path)
     dev = _load_split(dev_path)
     test = _load_split(test_path)
     report = training.run_experiment(
-        train, dev, test,
-        ModelConfig.from_dict(config["model"]), _train_config(config["training"]),
-        pretrained_embeddings=_load_embeddings_if_any(config), out_dir=out_dir)
+        train, dev, test, model_config, train_config,
+        pretrained_embeddings=_load_embeddings_if_any(paths.get("embeddings"), model_config),
+        out_dir=out_dir)
     atomic_write_text(os.path.join(out_dir, "report.json"),
                       json.dumps(report.as_dict(), indent=2) + "\n")
     atomic_write_text(os.path.join(out_dir, "report.txt"),
@@ -217,11 +243,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = resolve_config(args)
-    corpus_path = _require(config, "test_path", "--test")
     model = SpanModel.load(args.checkpoint)
-    sentences = _load_split(corpus_path)
-    report = evalmod.evaluate_model(model, sentences, config["modes"])
+    sentences = _load_split(args.test)
+    report = evalmod.evaluate_model(model, sentences, args.modes)
     text = ["triplet extraction (filter applied to gold and predictions):",
             evalmod.render_prf_table(report["triplet"]),
             "", "triplet extraction (filter applied to gold only):",
@@ -233,28 +257,24 @@ def cmd_eval(args) -> int:
              evalmod.render_prf_table(report["mention_from_triplets"])]
     rendered = "\n".join(text)
     print(rendered)
-    if config["paths"].get("out"):
-        out_dir = config["paths"]["out"]
-        os.makedirs(out_dir, exist_ok=True)
-        atomic_write_text(os.path.join(out_dir, "eval.json"),
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        atomic_write_text(os.path.join(args.out, "eval.json"),
                           json.dumps(report, indent=2) + "\n")
-        atomic_write_text(os.path.join(out_dir, "eval.txt"), rendered + "\n")
+        atomic_write_text(os.path.join(args.out, "eval.txt"), rendered + "\n")
     return 0
 
 
 def cmd_predict(args) -> int:
-    config = resolve_config(args)
-    corpus_path = _require(config, "test_path", "--test")
-    out_path = _require(config, "out", "--out")
     model = SpanModel.load(args.checkpoint)
-    sentences = _load_split(corpus_path)
+    sentences = _load_split(args.test)
     predicted = []
     for sentence in sentences:
         triplets = [dataio.GoldTriplet(p.target, p.opinion, p.sentiment)
                     for p in model.predict(sentence.tokens)]
         predicted.append(dataio.Sentence(sentence.id, sentence.tokens, triplets))
-    dataio.write_corpus(out_path, predicted)
-    print(f"wrote {len(predicted)} sentences to {out_path}")
+    dataio.write_corpus(args.out, predicted)
+    print(f"wrote {len(predicted)} sentences to {args.out}")
     return 0
 
 
@@ -272,22 +292,21 @@ def cmd_stats(args) -> int:
 
 
 def cmd_prune_sweep(args) -> int:
-    config = resolve_config(args)
+    config, model_config, train_config = resolve_config(args)
     if not config["z_values"]:
         raise UsageError("prune-sweep needs --z-values")
-    train_path = _require(config, "train_path", "--train")
-    dev_path = config["paths"].get("dev_path") or train_path
-    config["paths"].setdefault("dev_path", dev_path)
-    out_dir = config["paths"].get("out")
+    paths = config["paths"]
+    train_path = _require(paths, "train_path", "--train")
+    dev_path = paths.get("dev_path") or train_path
+    paths.setdefault("dev_path", dev_path)
+    out_dir = paths.get("out")
     if out_dir:
         _echo_config(config, out_dir)
     train = _load_split(train_path)
     dev = _load_split(dev_path)
-    train_config = _train_config(config["training"])
     rows = training.prune_sweep(
-        train, dev,
-        ModelConfig.from_dict(config["model"]), train_config,
-        z_values=config["z_values"], modes=config["sweep_modes"], seed=train_config.seeds[0],
+        train, dev, model_config, train_config,
+        z_values=config["z_values"], modes=config["sweep_modes"],
         diagnostics_path=(os.path.join(out_dir, "pools.jsonl") if out_dir else None))
     table = training.render_sweep_table(rows)
     print(table)

@@ -74,35 +74,32 @@ def mode_predicate(mode: str):
 def triplet_prf(gold: Mapping[int, Iterable[TripletKey]],
                 pred: Mapping[int, Iterable[TripletKey]],
                 mode: str = "all", filter_side: str = "both") -> PRF:
-    """Micro PRF over sentences; predictions for unknown sentence ids are rejected."""
+    """Micro PRF over sentences of the triplets ``mode`` keeps.
+
+    The mode filter applies to gold and, with ``filter_side="both"``, to
+    the predictions too.
+    """
     if filter_side not in FILTER_SIDES:
         raise ConfigurationError(f"filter_side must be one of {FILTER_SIDES}")
-    unknown = set(pred) - set(gold)
-    if unknown:
-        raise DataError(f"predictions reference unknown sentence ids: {sorted(unknown)}")
     keep = mode_predicate(mode)
-    tp = fp = fn = 0
-    for sid, gold_triplets in gold.items():
-        gold_set = {t for t in gold_triplets if keep(t)}
-        pred_set = set(pred.get(sid, ()))
-        if filter_side == "both":
-            pred_set = {t for t in pred_set if keep(t)}
-        hits = len(gold_set & pred_set)
-        tp += hits
-        fp += len(pred_set) - hits
-        fn += len(gold_set) - hits
-    return PRF.from_counts(tp, fp, fn)
+    gold = {sid: {t for t in triplets if keep(t)} for sid, triplets in gold.items()}
+    if filter_side == "both":
+        pred = {sid: {t for t in triplets if keep(t)} for sid, triplets in pred.items()}
+    return match_span_sets(gold, pred)
 
 
-def match_span_sets(gold: Mapping[int, Iterable[Span]],
-                    pred: Mapping[int, Iterable[Span]]) -> PRF:
-    """Exact span matching used by the term-extraction metrics."""
+def match_span_sets(gold: Mapping[int, Iterable], pred: Mapping[int, Iterable]) -> PRF:
+    """Micro PRF of exact set matching per sentence.
+
+    Shared by the triplet and term-extraction metrics; predictions for
+    unknown sentence ids are rejected.
+    """
     unknown = set(pred) - set(gold)
     if unknown:
         raise DataError(f"predictions reference unknown sentence ids: {sorted(unknown)}")
     tp = fp = fn = 0
-    for sid, gold_spans in gold.items():
-        gold_set = set(gold_spans)
+    for sid, gold_items in gold.items():
+        gold_set = set(gold_items)
         pred_set = set(pred.get(sid, ()))
         hits = len(gold_set & pred_set)
         tp += hits

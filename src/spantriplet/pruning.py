@@ -33,14 +33,6 @@ class SpanCandidate:
     index: int
     probs: tuple[float, ...]
 
-    @property
-    def target_prob(self) -> float:
-        return self.probs[MENTION_TARGET]
-
-    @property
-    def opinion_prob(self) -> float:
-        return self.probs[MENTION_OPINION]
-
 
 def pool_size(n: int, z: float, n_candidates: int) -> int:
     """k = min(ceil(n * z), number of candidates); ceil keeps k >= 1."""

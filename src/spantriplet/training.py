@@ -200,20 +200,16 @@ class SeedResult:
     seed: int
     best_epoch: int
     dev_f1_curve: list[float]
-    test_precision: float
-    test_recall: float
-    test_f1: float
-    test_counts: tuple[int, int, int]  # (tp, fp, fn)
+    test: PRF
     checkpoint_path: str | None = None
 
     def as_dict(self) -> dict:
         return {
             "seed": self.seed, "best_epoch": self.best_epoch,
             "dev_f1_curve": self.dev_f1_curve,
-            "test": {"precision": self.test_precision, "recall": self.test_recall,
-                     "f1": self.test_f1,
-                     "tp": self.test_counts[0], "fp": self.test_counts[1],
-                     "fn": self.test_counts[2]},
+            "test": {"precision": self.test.precision, "recall": self.test.recall,
+                     "f1": self.test.f1,
+                     "tp": self.test.tp, "fp": self.test.fp, "fn": self.test.fn},
             "checkpoint": self.checkpoint_path,
         }
 
@@ -226,24 +222,22 @@ class ExperimentReport:
 
     @property
     def mean_precision(self) -> float:
-        return float(np.mean([r.test_precision for r in self.seed_results]))
+        return float(np.mean([r.test.precision for r in self.seed_results]))
 
     @property
     def mean_recall(self) -> float:
-        return float(np.mean([r.test_recall for r in self.seed_results]))
+        return float(np.mean([r.test.recall for r in self.seed_results]))
 
     @property
     def mean_f1(self) -> float:
         """Mean of the per-seed F1 scores."""
-        return float(np.mean([r.test_f1 for r in self.seed_results]))
+        return float(np.mean([r.test.f1 for r in self.seed_results]))
 
-    def pooled_counts_prf(self) -> tuple[float, float, float]:
+    def pooled_counts_prf(self) -> PRF:
         """PRF of the summed tp/fp/fn over seeds, the other averaging convention."""
-        tp = sum(r.test_counts[0] for r in self.seed_results)
-        fp = sum(r.test_counts[1] for r in self.seed_results)
-        fn = sum(r.test_counts[2] for r in self.seed_results)
-        prf = PRF.from_counts(tp, fp, fn)
-        return (prf.precision, prf.recall, prf.f1)
+        return PRF.from_counts(sum(r.test.tp for r in self.seed_results),
+                               sum(r.test.fp for r in self.seed_results),
+                               sum(r.test.fn for r in self.seed_results))
 
     def as_dict(self) -> dict:
         pooled = self.pooled_counts_prf()
@@ -253,20 +247,20 @@ class ExperimentReport:
             "seeds": [r.as_dict() for r in self.seed_results],
             "mean": {"precision": self.mean_precision, "recall": self.mean_recall,
                      "f1": self.mean_f1},
-            "pooled_counts": {"precision": pooled[0], "recall": pooled[1],
-                              "f1": pooled[2]},
+            "pooled_counts": {"precision": pooled.precision, "recall": pooled.recall,
+                              "f1": pooled.f1},
         }
 
     def render_text(self) -> str:
         lines = ["seed  best_epoch  test_P    test_R    test_F1"]
         for r in self.seed_results:
-            lines.append(f"{r.seed:<6}{r.best_epoch:<12}{r.test_precision:<10.4f}"
-                         f"{r.test_recall:<10.4f}{r.test_f1:.4f}")
+            lines.append(f"{r.seed:<6}{r.best_epoch:<12}{r.test.precision:<10.4f}"
+                         f"{r.test.recall:<10.4f}{r.test.f1:.4f}")
         pooled = self.pooled_counts_prf()
         lines.append(f"mean of per-seed scores: P={self.mean_precision:.4f} "
                      f"R={self.mean_recall:.4f} F1={self.mean_f1:.4f}")
-        lines.append(f"pooled-count scores:     P={pooled[0]:.4f} "
-                     f"R={pooled[1]:.4f} F1={pooled[2]:.4f}")
+        lines.append(f"pooled-count scores:     P={pooled.precision:.4f} "
+                     f"R={pooled.recall:.4f} F1={pooled.f1:.4f}")
         return "\n".join(lines)
 
 
@@ -321,11 +315,9 @@ def run_experiment(train: Sequence[Sentence], dev: Sequence[Sentence],
         if out_dir is not None:
             checkpoint_path = os.path.join(out_dir, f"seed{seed}.ckpt.npz")
             model.save(checkpoint_path, extra_meta={"seed": seed, "best_epoch": best_epoch})
-        prf = corpus_pass(model, test).score()
         report.seed_results.append(SeedResult(
             seed=seed, best_epoch=best_epoch, dev_f1_curve=curve,
-            test_precision=prf.precision, test_recall=prf.recall, test_f1=prf.f1,
-            test_counts=(prf.tp, prf.fp, prf.fn), checkpoint_path=checkpoint_path))
+            test=corpus_pass(model, test).score(), checkpoint_path=checkpoint_path))
     return report
 
 
@@ -353,10 +345,12 @@ class SweepRow:
 
 def prune_sweep(train: Sequence[Sentence], dev: Sequence[Sentence], model_config,
                 train_config: TrainConfig, z_values: Sequence[float],
-                modes: Sequence[str] = SWEEP_MODES, seed: int = 0,
+                modes: Sequence[str] = SWEEP_MODES,
                 diagnostics_path: str | None = None) -> list[SweepRow]:
     """Train one model per (z, mode) and report dev F1 plus pool accounting.
 
+    Every model trains with the one seed of ``train_config``; its ``z`` and
+    ``channel_mode`` come from the (z, mode) setting, not ``model_config``.
     ``sc_adjusted`` is the single-channel setting run at threshold 2z so it
     considers at least as many candidates per role as the dual-channel run,
     which costs about four times the pairs. The pool accounting comes from
@@ -368,6 +362,11 @@ def prune_sweep(train: Sequence[Sentence], dev: Sequence[Sentence], model_config
     for mode in modes:
         if mode not in SWEEP_MODES:
             raise ConfigurationError(f"unknown sweep mode {mode!r}")
+    train_config.validate()
+    if len(train_config.seeds) > 1:
+        raise ConfigurationError(
+            f"the sweep trains one seed, got seeds {list(train_config.seeds)}")
+    seed = train_config.seeds[0]
     vocab = Vocabulary.build(s.tokens for s in train)
     rows = []
     diagnostics: list[dict] = []

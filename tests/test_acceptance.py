@@ -355,7 +355,7 @@ def test_criterion_8_ablation_plumbing():
                              (bare, 1200)):
         model = SpanModel(replace(config, lstm_dropout=0.0, ffnn_dropout=0.0),
                           vocab, seed=0)
-        assert model.mention_ffnn.in_dim == expected
+        assert model.mention_ffnn.weights[0].shape[0] == expected
 
     # every ablation variant stays gradient-check clean at test scale
     rng = np.random.default_rng(16)

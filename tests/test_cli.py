@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import spantriplet
 from spantriplet import data as dataio
-from spantriplet.cli import main
+from spantriplet.cli import build_parser, main
 from spantriplet.data import make_fixture
 from spantriplet.evaluation import triplet_prf
 
@@ -88,6 +89,11 @@ class TestTrain:
         echoed = read_json(run / "config.json")
         assert echoed["model"]["embedding_dim"] == 6
         assert echoed["training"]["epochs"] == 2
+
+    def test_echo_holds_only_what_train_reads(self, config_path, tmp_path):
+        assert main(["train", "--config", config_path, "--epochs", "1"]) == 0
+        echoed = read_json(tmp_path / "run" / "config.json")
+        assert set(echoed) == {"command", "paths", "model", "training"}
 
     def test_progress_goes_to_stderr(self, config_path):
         # A fresh interpreter: inside pytest the root logger already has
@@ -262,6 +268,37 @@ class TestPruneSweep:
                      "--config", make_config(tmp_path, corpus_path)]) == 1
         assert "z-values" in capsys.readouterr().err
 
+    def test_more_than_one_seed_is_usage_error(self, tmp_path, corpus_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["prune-sweep", "--train", corpus_path, "--z-values", "0.5",
+                     "--seeds", "0", "1", "--out", str(out),
+                     "--config", make_config(tmp_path, corpus_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_echo_holds_no_swept_model_field_and_reruns_the_sweep(self, tmp_path,
+                                                                  corpus_path):
+        out = str(tmp_path / "sweep")
+        assert main(["prune-sweep", "--train", corpus_path, "--z-values", "0.5",
+                     "--sweep-modes", "dual", "--out", out,
+                     "--config", make_config(tmp_path, corpus_path)]) == 0
+        echoed = read_json(os.path.join(out, "config.json"))
+        assert "z" not in echoed["model"] and "channel_mode" not in echoed["model"]
+        assert echoed["training"]["seeds"] == [0]
+        first = read_json(os.path.join(out, "sweep.json"))
+        # The file's sweep_modes and z_values are read: no flag repeats them.
+        assert main(["prune-sweep", "--config", os.path.join(out, "config.json")]) == 0
+        assert read_json(os.path.join(out, "sweep.json")) == first
+
+    @pytest.mark.parametrize("field, value", [("z", 0.25), ("channel_mode", "single")])
+    def test_config_setting_a_swept_model_field_is_usage_error(self, tmp_path, corpus_path,
+                                                               capsys, field, value):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"model": dict(TINY_MODEL, **{field: value}),
+                                    "z_values": [0.5]}))
+        assert main(["prune-sweep", "--train", corpus_path, "--config", str(path)]) == 1
+        assert field in capsys.readouterr().err
+
 
 def make_config(tmp_path, corpus_path):
     path = str(tmp_path / "model_only.json")
@@ -270,6 +307,66 @@ def make_config(tmp_path, corpus_path):
             json.dump({"model": TINY_MODEL,
                        "training": {"epochs": 1, "seeds": [0]}}, handle)
     return path
+
+
+class TestCommandOptions:
+    """Each command accepts only the flags and config keys it reads."""
+
+    EXPECTED = {
+        "train": {("--config",), ("--train",), ("--dev",), ("--out",), ("--seeds", "--seed"),
+                  ("--span-mode",), ("--max-span-width",), ("--epochs",), ("--test",),
+                  ("--embeddings",), ("--z",), ("--channel-mode",)},
+        "eval": {("--checkpoint",), ("--test",), ("--out",), ("--modes",)},
+        "predict": {("--checkpoint",), ("--test",), ("--out",)},
+        "stats": {("corpora",), ("--out",)},
+        "prune-sweep": {("--config",), ("--train",), ("--dev",), ("--out",),
+                        ("--seeds", "--seed"), ("--span-mode",), ("--max-span-width",),
+                        ("--epochs",), ("--z-values",), ("--sweep-modes",)},
+    }
+
+    def test_option_set_of_each_command(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {tuple(a.option_strings) or (a.dest,)
+                        for a in p._actions if a.dest != "help"}
+                 for name, p in sub.choices.items()}
+        assert found == self.EXPECTED
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "m.ckpt.npz", "--test", "c.txt", "--z", "1"],
+        ["predict", "--checkpoint", "m.ckpt.npz", "--test", "c.txt", "--out", "p.txt",
+         "--seeds", "1"],
+        ["train", "--train", "c.txt", "--out", "run", "--modes", "all"],
+        ["prune-sweep", "--train", "c.txt", "--z-values", "0.5", "--channel-mode", "single"],
+    ], ids=["eval", "predict", "train", "prune-sweep"])
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("train", None, "trainng"),
+        ("train", None, "modes"),
+        ("train", "paths", "test"),
+        ("train", "training", "lr_decay"),
+        ("prune-sweep", None, "modes"),
+        ("prune-sweep", "paths", "test_path"),
+    ])
+    def test_unread_config_key_is_usage_error(self, tmp_path, corpus_path, capsys,
+                                              command, section, key):
+        config = {"paths": {"train_path": corpus_path, "out": str(tmp_path / "run")},
+                  "model": TINY_MODEL, "training": {"epochs": 1, "seeds": [0]}}
+        if command == "prune-sweep":
+            config["z_values"] = [0.5]
+        (config[section] if section else config)[key] = ["all"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestUsage:

@@ -244,7 +244,8 @@ class TestEvaluateModel:
                           Vocabulary.build(s.tokens for s in fixture), seed=2)
         # A mention head biased toward targets and opinions makes the direct
         # term-extraction scores non-trivial.
-        model.mention_ffnn.biases[-1].data[...] = [1.0, 1.0, -1.0][:model.mention_ffnn.out_dim]
+        classes = model.mention_ffnn.weights[-1].shape[1]
+        model.mention_ffnn.biases[-1].data[...] = [1.0, 1.0, -1.0][:classes]
         calls = guard_forwards(model)
         report = ev.evaluate_model(model, fixture)
         del model.forward
@@ -296,7 +297,7 @@ class TestPruneSweep:
         fixture = make_fixture(np.random.default_rng(9), 8)
         rows = training.prune_sweep(fixture, fixture, TEST_CONFIG,
                                     TrainConfig(epochs=1, seeds=(0,)),
-                                    z_values=[0.5], seed=0,
+                                    z_values=[0.5],
                                     diagnostics_path=str(tmp_path / "pools.jsonl"))
         by_mode = {r.mode: r for r in rows}
         assert set(by_mode) == {"dual", "single", "sc_adjusted"}
@@ -327,7 +328,7 @@ class TestPruneSweep:
         path = tmp_path / "pools.jsonl"
         rows = training.prune_sweep(fixture, fixture, config,
                                     TrainConfig(epochs=12, seeds=(0,)), z_values=[0.5],
-                                    seed=0, diagnostics_path=str(path))
+                                    diagnostics_path=str(path))
         assert [r.dev_f1 for r in rows] == [p.score().f1 for p in fresh]
         assert max(r.dev_f1 for r in rows) > 0.0
         expected = [dict(record, z=0.5, mode=row.mode)
@@ -349,7 +350,7 @@ class TestPruneSweep:
 
         monkeypatch.setattr(training, "train_single_seed", guarded_train_single_seed)
         training.prune_sweep(fixture, dev, TEST_CONFIG, TrainConfig(epochs=2, seeds=(0,)),
-                             z_values=[0.5], modes=("dual", "single"), seed=0)
+                             z_values=[0.5], modes=("dual", "single"))
         assert len(guarded) == 2
         for calls, at_return in guarded:
             assert at_return == 2 * len(dev)
@@ -366,6 +367,12 @@ class TestPruneSweep:
         with pytest.raises(DataError, match="dev"):
             training.prune_sweep(fixture, [], TEST_CONFIG,
                                  TrainConfig(epochs=1, seeds=(0,)), z_values=[0.5])
+
+    def test_more_than_one_seed_is_a_configuration_error(self):
+        fixture = make_fixture(np.random.default_rng(10), 4)
+        with pytest.raises(ConfigurationError, match="one seed"):
+            training.prune_sweep(fixture, fixture, TEST_CONFIG,
+                                 TrainConfig(epochs=1, seeds=(0, 1)), z_values=[0.5])
 
     @pytest.mark.parametrize("bad", [{"epochs": 0}, {"lr": -1.0}], ids=["epochs", "lr"])
     def test_train_config_is_validated(self, bad):

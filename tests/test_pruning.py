@@ -9,7 +9,7 @@ from spantriplet.data import make_fixture
 from spantriplet.encoder import Vocabulary, enumerate_spans
 from spantriplet.errors import ConfigurationError, DataError
 from spantriplet.model import ModelConfig, SpanModel
-from spantriplet.pruning import SpanCandidate
+from spantriplet.pruning import MENTION_OPINION, MENTION_TARGET, SpanCandidate
 from spantriplet.training import compute_loss, make_optimizer, TrainConfig
 
 
@@ -73,7 +73,7 @@ class TestDualChannelPruning:
         candidates = make_candidates(rng, 4)
         targets, opinions = pruning.prune_dual_channel(candidates, 4, 100.0)
         assert len(targets) == len(candidates)
-        scores = [c.target_prob for c in targets]
+        scores = [c.probs[MENTION_TARGET] for c in targets]
         assert scores == sorted(scores, reverse=True)
 
     @pytest.mark.parametrize("tie_pool", [None, [0.1, 0.2]])
@@ -85,19 +85,19 @@ class TestDualChannelPruning:
             candidates = make_candidates(rng, n, tie_pool=tie_pool)
             k = min(math.ceil(n * z), len(candidates))
             targets, opinions = pruning.prune_dual_channel(candidates, n, z)
-            assert targets == brute_force_top_k(candidates, lambda c: c.target_prob, k)
-            assert opinions == brute_force_top_k(candidates, lambda c: c.opinion_prob, k)
+            assert targets == brute_force_top_k(candidates, lambda c: c.probs[MENTION_TARGET], k)
+            assert opinions == brute_force_top_k(candidates, lambda c: c.probs[MENTION_OPINION], k)
 
     def test_selected_scores_dominate_excluded(self):
         rng = np.random.default_rng(4)
         candidates = make_candidates(rng, 12)
         targets, opinions = pruning.prune_dual_channel(candidates, 12, 0.3)
         excluded_t = set(candidates) - set(targets)
-        worst_kept = min(c.target_prob for c in targets)
-        assert all(c.target_prob <= worst_kept for c in excluded_t)
+        worst_kept = min(c.probs[MENTION_TARGET] for c in targets)
+        assert all(c.probs[MENTION_TARGET] <= worst_kept for c in excluded_t)
         excluded_o = set(candidates) - set(opinions)
-        worst_kept_o = min(c.opinion_prob for c in opinions)
-        assert all(c.opinion_prob <= worst_kept_o for c in excluded_o)
+        worst_kept_o = min(c.probs[MENTION_OPINION] for c in opinions)
+        assert all(c.probs[MENTION_OPINION] <= worst_kept_o for c in excluded_o)
 
     def test_pools_may_overlap(self):
         span_probs = [(0.9, 0.8, 0.0), (0.1, 0.1, 0.8), (0.0, 0.1, 0.9)]
@@ -164,7 +164,7 @@ class TestSingleChannelPipeline:
                              width_dim=3, distance_dim=3, lstm_dropout=0.0,
                              ffnn_dropout=0.0, channel_mode="single")
         model = SpanModel(config, vocab, seed=0)
-        assert model.mention_ffnn.out_dim == 2
+        assert model.mention_ffnn.weights[-1].shape[1] == 2
 
         out = model.forward(fixture[0].tokens)
         assert out.target_pool == out.opinion_pool  # one shared pool

@@ -312,8 +312,8 @@ class TestReferenceScale:
         fixture = make_fixture(np.random.default_rng(14), 5)
         vocab = Vocabulary.build(s.tokens for s in fixture)
         model = SpanModel(ModelConfig(), vocab, seed=0)
-        assert model.mention_ffnn.in_dim == 1220
-        assert model.relation_ffnn.in_dim == 2 * 1220 + 128
+        assert model.mention_ffnn.weights[0].shape[0] == 1220
+        assert model.relation_ffnn.weights[0].shape[0] == 2 * 1220 + 128
         optimizer = make_optimizer(model, TrainConfig())
         optimizer.zero_grad()
         out = model.forward(fixture[0].tokens, training=True,
@@ -353,20 +353,20 @@ class TestRunExperiment:
         assert len(report.seed_results) == 1
         row = report.seed_results[0]
         assert row.best_epoch == 0
-        assert report.mean_f1 == pytest.approx(row.test_f1)
+        assert report.mean_f1 == pytest.approx(row.test.f1)
 
     def test_mean_matches_independent_recompute(self):
         fixture = make_fixture(np.random.default_rng(9), 6)
         config = TrainConfig(epochs=1, seeds=(0, 1))
         report = run_experiment(fixture, fixture, fixture, TEST_CONFIG, config)
-        f1s = [r.test_f1 for r in report.seed_results]
+        f1s = [r.test.f1 for r in report.seed_results]
         assert report.mean_f1 == pytest.approx(sum(f1s) / len(f1s))
         pooled = report.pooled_counts_prf()
-        tp = sum(r.test_counts[0] for r in report.seed_results)
-        fp = sum(r.test_counts[1] for r in report.seed_results)
-        fn = sum(r.test_counts[2] for r in report.seed_results)
+        tp = sum(r.test.tp for r in report.seed_results)
+        fp = sum(r.test.fp for r in report.seed_results)
+        fn = sum(r.test.fn for r in report.seed_results)
         expected_p = tp / (tp + fp) if tp + fp else 0.0
-        assert pooled[0] == pytest.approx(expected_p)
+        assert pooled.precision == pytest.approx(expected_p)
 
     def test_identical_seeds_give_identical_rows(self):
         fixture = make_fixture(np.random.default_rng(10), 6)

@@ -91,12 +91,12 @@ def assert_pairs_match_per_pair_path(model, tokens):
 class TestPairRepresentation:
     def test_without_distance_table(self):
         model, tokens = tiny_model(use_width_distance=False)
-        assert model.relation_ffnn.in_dim == 2 * model.config.span_vector_dim
+        assert model.relation_ffnn.weights[0].shape[0] == 2 * model.config.span_vector_dim
         assert_pairs_match_per_pair_path(model, tokens)
 
     def test_model_pair_assembly_matches_per_pair_path(self):
         model, tokens = tiny_model()
-        assert model.relation_ffnn.in_dim == 2 * model.config.span_vector_dim + 3
+        assert model.relation_ffnn.weights[0].shape[0] == 2 * model.config.span_vector_dim + 3
         assert_pairs_match_per_pair_path(model, tokens)
 
     @pytest.mark.parametrize("channel_mode,pools", [("dual", None), ("single", None),
