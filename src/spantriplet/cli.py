@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 from . import data as dataio
 from . import evaluation as evalmod
@@ -26,7 +27,7 @@ from .data import atomic_write_text
 from .encoder import SPAN_MODES, load_embedding_file
 from .errors import (CheckpointError, ConfigurationError, DataError,
                      NumericalError, UsageError)
-from .model import ModelConfig, SpanModel
+from .model import ModelConfig, SpanModel, config_from_dict
 from .pruning import CHANNEL_MODES
 
 
@@ -110,10 +111,8 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return raw
@@ -134,10 +133,12 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
     command = args.command
     file_cfg = _load_config_file(args.config)
     _reject_unread(file_cfg, ("command",) + _SECTIONS[command], "config keys", command)
-    paths = dict(file_cfg.get("paths", {}))
+    sections = {key: file_cfg.get(key, {}) for key in ("paths", "model", "training")}
+    not_objects = [key for key, value in sections.items() if not isinstance(value, dict)]
+    if not_objects:
+        raise ConfigurationError(f"config sections {not_objects} must be JSON objects")
+    paths, model_cfg, train_cfg = (dict(value) for value in sections.values())
     _reject_unread(paths, _PATH_KEYS[command], "paths keys", command)
-    model_cfg = dict(file_cfg.get("model", {}))
-    train_cfg = dict(file_cfg.get("training", {}))
     if command == "prune-sweep":
         swept = sorted(set(model_cfg) & set(_SWEPT_FIELDS))
         if swept:
@@ -154,30 +155,21 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
         if value is not None:
             model_cfg[field] = value
     if args.seeds is not None:
-        train_cfg["seeds"] = list(args.seeds)
+        train_cfg["seeds"] = args.seeds
     if args.epochs is not None:
         train_cfg["epochs"] = args.epochs
 
-    model = ModelConfig.from_dict(model_cfg)
-    _reject_unread(train_cfg, ("epochs", "seeds", "lr", "weight_decay"), "training keys",
-                   command)
-    try:
-        train_config = training.TrainConfig(**{k: tuple(v) if k == "seeds" else v
-                                               for k, v in train_cfg.items()})
-        train_config.validate()
-    except DataError as exc:
-        raise UsageError(str(exc))
-    echo = {"command": command, "paths": paths, "model": model.as_dict(),
-            "training": train_config.as_dict()}
+    model = config_from_dict(ModelConfig, model_cfg)
+    train_config = config_from_dict(training.TrainConfig, train_cfg)
+    echo = {"command": command, "paths": paths, "model": asdict(model),
+            "training": asdict(train_config)}
     if command == "prune-sweep":
-        # prune_sweep refuses this too, but only after the echo has been written.
-        if len(train_config.seeds) > 1:
-            raise UsageError(f"prune-sweep trains one seed, got seeds {list(train_config.seeds)}")
         for field in _SWEPT_FIELDS:
             del echo["model"][field]
         echo["z_values"] = args.z_values or file_cfg.get("z_values") or []
-        echo["sweep_modes"] = list(args.sweep_modes or file_cfg.get("sweep_modes")
-                                   or training.SWEEP_MODES)
+        echo["sweep_modes"] = (args.sweep_modes or file_cfg.get("sweep_modes")
+                               or list(training.SWEEP_MODES))
+        training.sweep_settings(model, train_config, echo["z_values"], echo["sweep_modes"])
     return echo, model, train_config
 
 
@@ -188,17 +180,9 @@ def _require(paths: dict, key: str, flag: str) -> str:
     return value
 
 
-def _load_split(path: str):
-    if not os.path.exists(path):
-        raise DataError(f"corpus file not found: {path}")
-    return dataio.load_corpus(path)
-
-
 def _load_embeddings_if_any(path: str | None, model: ModelConfig):
     if not path:
         return None
-    if not os.path.exists(path):
-        raise DataError(f"embedding file not found: {path}")
     vectors, dim = load_embedding_file(path)
     if dim != model.embedding_dim:
         raise ConfigurationError(
@@ -227,9 +211,9 @@ def cmd_train(args) -> int:
     out_dir = _require(paths, "out", "--out")
     _echo_config(config, out_dir)
 
-    train = _load_split(train_path)
-    dev = _load_split(dev_path)
-    test = _load_split(test_path)
+    train = dataio.load_corpus(train_path)
+    dev = dataio.load_corpus(dev_path)
+    test = dataio.load_corpus(test_path)
     report = training.run_experiment(
         train, dev, test, model_config, train_config,
         pretrained_embeddings=_load_embeddings_if_any(paths.get("embeddings"), model_config),
@@ -244,7 +228,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = SpanModel.load(args.checkpoint)
-    sentences = _load_split(args.test)
+    sentences = dataio.load_corpus(args.test)
     report = evalmod.evaluate_model(model, sentences, args.modes)
     text = ["triplet extraction (filter applied to gold and predictions):",
             evalmod.render_prf_table(report["triplet"]),
@@ -267,7 +251,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = SpanModel.load(args.checkpoint)
-    sentences = _load_split(args.test)
+    sentences = dataio.load_corpus(args.test)
     predicted = []
     for sentence in sentences:
         triplets = [dataio.GoldTriplet(p.target, p.opinion, p.sentiment)
@@ -281,8 +265,6 @@ def cmd_predict(args) -> int:
 def cmd_stats(args) -> int:
     stats = {}
     for path in args.corpora:
-        if not os.path.exists(path):
-            raise DataError(f"corpus file not found: {path}")
         stats[os.path.basename(path)] = dataio.dataset_stats(dataio.load_corpus(path))
     print(dataio.format_stats_table(stats))
     if args.out:
@@ -293,8 +275,6 @@ def cmd_stats(args) -> int:
 
 def cmd_prune_sweep(args) -> int:
     config, model_config, train_config = resolve_config(args)
-    if not config["z_values"]:
-        raise UsageError("prune-sweep needs --z-values")
     paths = config["paths"]
     train_path = _require(paths, "train_path", "--train")
     dev_path = paths.get("dev_path") or train_path
@@ -302,8 +282,8 @@ def cmd_prune_sweep(args) -> int:
     out_dir = paths.get("out")
     if out_dir:
         _echo_config(config, out_dir)
-    train = _load_split(train_path)
-    dev = _load_split(dev_path)
+    train = dataio.load_corpus(train_path)
+    dev = dataio.load_corpus(dev_path)
     rows = training.prune_sweep(
         train, dev, model_config, train_config,
         z_values=config["z_values"], modes=config["sweep_modes"],
@@ -312,7 +292,7 @@ def cmd_prune_sweep(args) -> int:
     print(table)
     if out_dir:
         atomic_write_text(os.path.join(out_dir, "sweep.json"),
-                          json.dumps([r.as_dict() for r in rows], indent=2) + "\n")
+                          json.dumps([asdict(r) for r in rows], indent=2) + "\n")
         atomic_write_text(os.path.join(out_dir, "sweep.txt"), table + "\n")
     return 0
 
@@ -335,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoder import Span, span_width
+from .encoder import Span, read_lines, span_width
 from .errors import DataError, ParseError
 from .triplet import SENTIMENT_TAGS
 
@@ -117,14 +117,8 @@ def serialize_sentence(sentence: Sentence) -> str:
 
 def load_corpus(path: str) -> list[Sentence]:
     """Read a corpus file; sentence ids are 0-based line ordinals."""
-    sentences = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            sentences.append(parse_dataset_line(raw, sentence_id=len(sentences),
-                                                line=lineno))
-    return sentences
+    return [parse_dataset_line(raw, sentence_id=i, line=lineno)
+            for i, (lineno, raw) in enumerate(read_lines(path))]
 
 
 def find_benchmark_split(roots: Iterable[str], dataset: str, split: str) -> str | None:
@@ -151,7 +145,10 @@ def find_benchmark_split(roots: Iterable[str], dataset: str, split: str) -> str 
 def atomic_write_text(path: str, content: str) -> None:
     """Write via temp file + rename so interrupted runs never leave truncated files."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(content)

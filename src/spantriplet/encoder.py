@@ -8,8 +8,9 @@ widest enumerated span covers max_gap + 1 tokens.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,6 +87,20 @@ class Vocabulary:
         return cls([UNK_TOKEN] + sorted(seen))
 
 
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line) for each non-blank line of a UTF-8 text file.
+
+    A file that cannot be opened or decoded raises a DataError naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                if raw.strip():
+                    yield lineno, raw
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load_embedding_file(path: str) -> tuple[dict[str, np.ndarray], int]:
     """Read a whitespace-separated text embedding file (token + reals per line).
 
@@ -94,27 +109,28 @@ def load_embedding_file(path: str) -> tuple[dict[str, np.ndarray], int]:
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            parts = raw.split()
-            if len(parts) < 2:
-                raise ParseError("embedding line needs a token and at least one value",
-                                 lineno)
-            token = parts[0]
-            try:
-                vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise ParseError(f"non-numeric embedding value for token {token!r}",
-                                 lineno, column=len(token) + 2)
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ParseError(
-                    f"embedding width {vec.size} differs from earlier width {dim}", lineno
-                )
-            vectors[token.lower()] = vec
+    for lineno, raw in read_lines(path):
+        parts = raw.split()
+        if len(parts) < 2:
+            raise ParseError("embedding line needs a token and at least one value",
+                             lineno)
+        token = parts[0]
+        try:
+            vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError:
+            raise ParseError(f"non-numeric embedding value for token {token!r}",
+                             lineno, column=len(token) + 2)
+        if not np.isfinite(vec).all():
+            bad = 1 + int(np.argmin(np.isfinite(vec)))
+            column = [m.start() + 1 for m in re.finditer(r"\S+", raw)][bad]
+            raise ParseError(f"non-finite embedding value {parts[bad]!r}", lineno, column)
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ParseError(
+                f"embedding width {vec.size} differs from earlier width {dim}", lineno
+            )
+        vectors[token.lower()] = vec
     if dim is None:
         raise ParseError("embedding file is empty", 1)
     return vectors, dim

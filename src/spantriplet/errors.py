@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
-NumericalError -> 3. Everything else is a plain bug.
+The CLI maps these onto exit codes: UsageError and ConfigurationError -> 1,
+DataError (ParseError too) and CheckpointError -> 2, NumericalError -> 3.
+Everything else is a plain bug.
 """
 
 

@@ -8,7 +8,8 @@ pair over four relation classes. The graph is rebuilt per sentence.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,38 @@ from .pruning import SpanCandidate
 from .triplet import RELATION_CLASSES, TripletPrediction, decode_triplets, pair_distance_buckets
 
 
-@dataclass
+def has_kind(value, annotation: str) -> bool:
+    """Whether ``value`` fits a config field annotated ``annotation``.
+
+    int takes any Integral and float any Real, so numpy scalars pass, but
+    neither takes a bool; ``tuple[T, ...]`` takes a non-empty list or tuple of T.
+    """
+    if annotation.startswith("tuple["):
+        return (isinstance(value, (list, tuple)) and len(value) > 0
+                and all(has_kind(v, annotation[6:-6]) for v in value))
+    kind = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}[annotation]
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigurationError unless every field of ``config`` fits its annotation."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not has_kind(value, f.type):
+            raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+
+
+def config_from_dict(cls, raw):
+    """Build the config dataclass ``cls`` from a JSON object; every key must be a field."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{cls.__name__} settings must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown {cls.__name__} fields: {unknown}")
+    return cls(**raw)
+
+
+@dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters; defaults are the reference configuration.
 
@@ -45,21 +77,17 @@ class ModelConfig:
     z: float = 0.5
     channel_mode: str = "dual"
 
-    def validate(self) -> None:
-        positive = {
-            "embedding_dim": self.embedding_dim, "lstm_hidden": self.lstm_hidden,
-            "ffnn_hidden": self.ffnn_hidden, "ffnn_layers": self.ffnn_layers,
-            "width_dim": self.width_dim, "distance_dim": self.distance_dim,
-        }
-        for name, value in positive.items():
-            if value < 1:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        for name in ("embedding_dim", "lstm_hidden", "ffnn_hidden", "ffnn_layers",
+                     "width_dim", "distance_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_span_gap < 0:
             raise ConfigurationError(f"max_span_gap must be >= 0, got {self.max_span_gap}")
-        for name, value in (("lstm_dropout", self.lstm_dropout),
-                            ("ffnn_dropout", self.ffnn_dropout)):
-            if not 0.0 <= value < 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1), got {value}")
+        for name in ("lstm_dropout", "ffnn_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.span_mode not in enc.SPAN_MODES:
             raise ConfigurationError(
                 f"span_mode must be one of {enc.SPAN_MODES}, got {self.span_mode!r}")
@@ -84,18 +112,6 @@ class ModelConfig:
     def mention_classes(self) -> tuple[str, ...]:
         return (pruning.MENTION_CLASSES if self.channel_mode == "dual"
                 else pruning.SINGLE_CHANNEL_CLASSES)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        unknown = set(raw) - set(cls().__dict__)
-        if unknown:
-            raise ConfigurationError(f"unknown model config fields: {sorted(unknown)}")
-        config = cls(**raw)
-        config.validate()
-        return config
 
 
 @dataclass
@@ -134,7 +150,6 @@ class SpanModel:
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, seed: int = 0,
                  pretrained_embeddings: dict[str, np.ndarray] | None = None):
-        config.validate()
         self.config = config
         self.vocab = vocab
         init_rng = np.random.default_rng(seed)
@@ -162,12 +177,6 @@ class SpanModel:
             "relation", config.pair_vector_dim, len(RELATION_CLASSES),
             hidden_dim=config.ffnn_hidden, hidden_layers=config.ffnn_layers,
             dropout_p=config.ffnn_dropout, rng=init_rng)
-        self._check_unique_names()
-
-    def _check_unique_names(self) -> None:
-        names = [p.name for p in self.parameters()]
-        if len(names) != len(set(names)):
-            raise ConfigurationError("duplicate parameter names in model")
 
     def parameters(self) -> list[Parameter]:
         params = [self.embedding] + self.lstm.parameters()
@@ -254,7 +263,7 @@ class SpanModel:
 
     def save(self, path: str, extra_meta: dict | None = None) -> None:
         meta = {
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "vocab": self.vocab.tokens,
         }
         if extra_meta:
@@ -266,7 +275,11 @@ class SpanModel:
         arrays, meta = ad.load_checkpoint(path)
         if "config" not in meta or "vocab" not in meta:
             raise CheckpointError(f"{path}: checkpoint lacks model config or vocabulary")
-        model = cls(ModelConfig.from_dict(meta["config"]), Vocabulary(meta["vocab"]))
+        try:
+            config = config_from_dict(ModelConfig, meta["config"])
+        except ConfigurationError as exc:
+            raise CheckpointError(f"{path}: stored model config is invalid: {exc}") from exc
+        model = cls(config, Vocabulary(meta["vocab"]))
         ad.restore_parameters(model.parameters(), arrays)
         return model
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from .data import Sentence, atomic_write_text
 from .encoder import Span, Vocabulary
 from .errors import ConfigurationError, DataError, NumericalError
 from .evaluation import PRF, CorpusPass, corpus_pass
-from .model import SentenceOutput, SpanModel
+from .model import ModelConfig, SentenceOutput, SpanModel, check_field_types, has_kind
 from .pruning import (MENTION_INVALID, MENTION_OPINION, MENTION_TARGET,
                       SINGLE_INVALID, SINGLE_VALID, SpanCandidate)
 from .triplet import RELATION_CLASSES, RELATION_INVALID
@@ -39,30 +38,22 @@ from .triplet import RELATION_CLASSES, RELATION_INVALID
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     lr: float = 1e-3
     weight_decay: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if self.epochs < 1:
-            raise DataError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.seeds:
-            raise DataError("at least one seed is required")
-        if not _is_real(self.lr) or not (0.0 < self.lr < math.inf):
-            raise DataError(f"lr must be a finite number > 0, got {self.lr!r}")
-        if not _is_real(self.weight_decay) or not (0.0 <= self.weight_decay < math.inf):
-            raise DataError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
-
-    def as_dict(self) -> dict:
-        return {"epochs": self.epochs, "seeds": list(self.seeds),
-                "lr": self.lr, "weight_decay": self.weight_decay}
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigurationError(f"lr must be a finite number > 0, got {self.lr!r}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigurationError(f"weight_decay must be in [0, inf), got {self.weight_decay}")
 
 
 def make_optimizer(model: SpanModel, config: TrainConfig) -> AdamW:
@@ -272,7 +263,6 @@ def train_single_seed(model: SpanModel, train: Sequence[Sentence],
     Returns the dev F1 curve, the best epoch and that epoch's dev pass, so
     nothing needs to run dev again on the restored model.
     """
-    config.validate()
     if not dev:
         raise DataError("dev split is empty")
     gap = model.config.max_span_gap
@@ -304,9 +294,8 @@ def run_experiment(train: Sequence[Sentence], dev: Sequence[Sentence],
     for name, split in (("train", train), ("dev", dev), ("test", test)):
         if not split:
             raise DataError(f"{name} split is empty")
-    train_config.validate()
     vocab = Vocabulary.build(s.tokens for s in train)
-    report = ExperimentReport(model_config.as_dict(), train_config.as_dict())
+    report = ExperimentReport(asdict(model_config), asdict(train_config))
     for seed in train_config.seeds:
         model = SpanModel(model_config, vocab, seed=seed,
                           pretrained_embeddings=pretrained_embeddings)
@@ -339,61 +328,65 @@ class SweepRow:
     target_recall: float
     opinion_recall: float
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
+
+def sweep_settings(model_config: ModelConfig, train_config: TrainConfig, z_values,
+                   modes=SWEEP_MODES) -> list[tuple[float, str, float, ModelConfig]]:
+    """Check a sweep and return its (z, mode, effective_z, model config) settings.
+
+    ``sc_adjusted`` runs single channel at threshold 2z so it considers at
+    least as many candidates per role as dual channel, at about 4x the pairs.
+    """
+    if not has_kind(z_values, "tuple[float, ...]"):
+        raise ConfigurationError("the sweep needs z_values (--z-values), a non-empty list "
+                                 f"of numbers, got {z_values!r}")
+    if not isinstance(modes, (list, tuple)) or not all(m in SWEEP_MODES for m in modes):
+        raise ConfigurationError(f"sweep_modes must be a list of {SWEEP_MODES}, got {modes!r}")
+    if len(train_config.seeds) > 1:
+        raise ConfigurationError(f"the sweep trains one seed, got {list(train_config.seeds)}")
+    settings = []
+    for z in z_values:
+        for mode in modes:
+            effective_z = 2 * z if mode == "sc_adjusted" else z
+            settings.append((z, mode, effective_z, replace(
+                model_config, z=effective_z, channel_mode="dual" if mode == "dual" else "single")))
+    return settings
 
 
 def prune_sweep(train: Sequence[Sentence], dev: Sequence[Sentence], model_config,
                 train_config: TrainConfig, z_values: Sequence[float],
                 modes: Sequence[str] = SWEEP_MODES,
                 diagnostics_path: str | None = None) -> list[SweepRow]:
-    """Train one model per (z, mode) and report dev F1 plus pool accounting.
+    """Train one model per setting of ``sweep_settings`` and report dev F1 plus pool accounting.
 
     Every model trains with the one seed of ``train_config``; its ``z`` and
     ``channel_mode`` come from the (z, mode) setting, not ``model_config``.
-    ``sc_adjusted`` is the single-channel setting run at threshold 2z so it
-    considers at least as many candidates per role as the dual-channel run,
-    which costs about four times the pairs. The pool accounting comes from
-    the best epoch's dev pass; ``diagnostics_path`` receives its per-sentence
-    records as JSON lines.
+    The pool accounting comes from the best epoch's dev pass;
+    ``diagnostics_path`` receives its per-sentence records as JSON lines.
     """
-    if not z_values:
-        raise DataError("the sweep needs at least one z value")
-    for mode in modes:
-        if mode not in SWEEP_MODES:
-            raise ConfigurationError(f"unknown sweep mode {mode!r}")
-    train_config.validate()
-    if len(train_config.seeds) > 1:
-        raise ConfigurationError(
-            f"the sweep trains one seed, got seeds {list(train_config.seeds)}")
+    settings = sweep_settings(model_config, train_config, z_values, modes)
     seed = train_config.seeds[0]
     vocab = Vocabulary.build(s.tokens for s in train)
     rows = []
     diagnostics: list[dict] = []
-    for z in z_values:
-        for mode in modes:
-            channel = "dual" if mode == "dual" else "single"
-            effective_z = 2 * z if mode == "sc_adjusted" else z
-            config = replace(model_config, z=effective_z, channel_mode=channel)
-            model = SpanModel(config, vocab, seed=seed)
-            curve, best_epoch, dev_pass = train_single_seed(model, train, dev,
-                                                            train_config, seed)
-            records = dev_pass.pool_records()
-            for record in records:
-                record.update({"z": z, "mode": mode})
-            diagnostics.extend(records)
-            k_values = [r["k"] for r in records]
-            gold_t = sum(r["gold_targets"] for r in records)
-            kept_t = sum(r["gold_targets_kept"] for r in records)
-            gold_o = sum(r["gold_opinions"] for r in records)
-            kept_o = sum(r["gold_opinions_kept"] for r in records)
-            rows.append(SweepRow(
-                z=z, mode=mode, effective_z=effective_z, dev_f1=curve[best_epoch],
-                mean_pool_size=float(np.mean(k_values)),
-                mean_pair_count=float(np.mean([k * k for k in k_values])),
-                target_recall=kept_t / gold_t if gold_t else 0.0,
-                opinion_recall=kept_o / gold_o if gold_o else 0.0,
-            ))
+    for z, mode, effective_z, config in settings:
+        model = SpanModel(config, vocab, seed=seed)
+        curve, best_epoch, dev_pass = train_single_seed(model, train, dev, train_config, seed)
+        records = dev_pass.pool_records()
+        for record in records:
+            record.update({"z": z, "mode": mode})
+        diagnostics.extend(records)
+        k_values = [r["k"] for r in records]
+        gold_t = sum(r["gold_targets"] for r in records)
+        kept_t = sum(r["gold_targets_kept"] for r in records)
+        gold_o = sum(r["gold_opinions"] for r in records)
+        kept_o = sum(r["gold_opinions_kept"] for r in records)
+        rows.append(SweepRow(
+            z=z, mode=mode, effective_z=effective_z, dev_f1=curve[best_epoch],
+            mean_pool_size=float(np.mean(k_values)),
+            mean_pair_count=float(np.mean([k * k for k in k_values])),
+            target_recall=kept_t / gold_t if gold_t else 0.0,
+            opinion_recall=kept_o / gold_o if gold_o else 0.0,
+        ))
     if diagnostics_path is not None:
         atomic_write_text(diagnostics_path, "".join(json.dumps(r) + "\n" for r in diagnostics))
     return rows

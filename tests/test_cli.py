@@ -1,17 +1,22 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import spantriplet
+from spantriplet import autodiff as ad
 from spantriplet import data as dataio
 from spantriplet.cli import build_parser, main
 from spantriplet.data import make_fixture
+from spantriplet.encoder import Vocabulary
 from spantriplet.evaluation import triplet_prf
+from spantriplet.model import ModelConfig, SpanModel
 
 TINY_MODEL = {
     "embedding_dim": 6, "lstm_hidden": 4, "ffnn_hidden": 5,
@@ -383,3 +388,78 @@ class TestUsage:
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "prune-sweep" in proc.stdout
+
+
+def error_lines(err):
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+class TestBadInput:
+    """Bad settings exit 1 and unreadable inputs exit 2, each with one error line."""
+
+    @pytest.mark.parametrize("command, bad, name", [
+        ("train", {"paths": "x"}, "paths"),
+        ("train", {"model": []}, "model"),
+        ("train", {"model": {"embedding_dim": "six"}}, "embedding_dim"),
+        ("train", {"model": {"embedding_dim": 2.5}}, "embedding_dim"),
+        ("train", {"model": {"use_width_distance": "no"}}, "use_width_distance"),
+        ("train", {"model": {"z": True}}, "z"),
+        ("train", {"training": {"seeds": 3}}, "seeds"),
+        ("train", {"training": {"seeds": ["a"]}}, "seeds"),
+        ("train", {"training": {"epochs": "2"}}, "epochs"),
+        ("train", {"training": {"epochs": 1.5}}, "epochs"),
+        ("prune-sweep", {"z_values": "0.5"}, "z_values"),
+        ("prune-sweep", {"z_values": [0]}, "z"),
+        ("prune-sweep", {"sweep_modes": ["bogus"]}, "sweep_modes"),
+    ])
+    def test_bad_config_value_exits_1_before_any_directory(self, tmp_path, corpus_path,
+                                                           capsys, command, bad, name):
+        config = {"paths": {"train_path": corpus_path, "out": str(tmp_path / "run")},
+                  "model": dict(TINY_MODEL), "training": {"epochs": 1, "seeds": [0]}}
+        if command == "prune-sweep":
+            config["z_values"] = [0.5]
+        for section, value in bad.items():
+            if isinstance(value, dict):
+                config[section].update(value)
+            else:
+                config[section] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and re.search(rf"\b{name}\b", lines[0]), lines
+        assert not (tmp_path / "run").exists()
+
+    def test_config_naming_a_directory_exits_1(self, tmp_path, corpus_path, capsys):
+        assert main(["train", "--config", str(tmp_path), "--train", corpus_path,
+                     "--out", str(tmp_path / "run")]) == 1
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and str(tmp_path) in lines[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_stats_on_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["stats", str(tmp_path)]) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and str(tmp_path) in lines[0]
+
+    def test_non_utf8_corpus_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "latin1.txt"
+        corpus.write_bytes("café is great .####[([0], [2], 'POS')]\n".encode("latin-1"))
+        assert main(["train", "--train", str(corpus), "--out", str(tmp_path / "run"),
+                     "--config", make_config(tmp_path, str(corpus))]) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and str(corpus) in lines[0]
+
+    @pytest.mark.parametrize("change", [{"bogus_field": 1}, {"embedding_dim": "6"}],
+                             ids=["unknown", "mistyped"])
+    def test_checkpoint_with_bad_stored_config_exits_2(self, tmp_path, corpus_path, capsys,
+                                                       change):
+        config = ModelConfig(**TINY_MODEL)
+        model = SpanModel(config, Vocabulary.build([["the"]]))
+        path = str(tmp_path / "bad.ckpt.npz")
+        ad.save_checkpoint(path, model.parameters(),
+                           {"config": dict(asdict(config), **change), "vocab": model.vocab.tokens})
+        assert main(["eval", "--checkpoint", path, "--test", corpus_path]) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and path in lines[0] and next(iter(change)) in lines[0]

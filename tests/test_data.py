@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,21 @@ class TestSerialize:
         dataio.write_corpus(path, fixture)
         again = dataio.load_corpus(path)
         assert again == fixture
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin1"])
+    def test_unreadable_corpus_is_a_data_error_naming_it(self, tmp_path, kind):
+        path = tmp_path / "corpus.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "latin1":
+            path.write_bytes("café is great .####[]\n".encode("latin-1"))
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            dataio.load_corpus(str(path))
+
+    def test_write_into_a_missing_directory_is_a_data_error(self, tmp_path):
+        path = tmp_path / "absent" / "corpus.txt"
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            dataio.write_corpus(str(path), [])
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,26 @@ class TestEmbeddingFile:
         path = tmp_path / "vectors.txt"
         path.write_text("a 1 2\nb 1 2 3\n")
         with pytest.raises(ParseError, match="line 2"):
+            enc.load_embedding_file(str(path))
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("battery nan 0.3\n", 1, 9),
+        ("the 0.1 0.2\nscreen  0.5 -inf\n", 2, 13),
+        ("a 1 1e999\n", 1, 5),
+    ])
+    def test_non_finite_value_reports_line_and_column(self, tmp_path, text, line, column):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="non-finite") as info:
+            enc.load_embedding_file(str(path))
+        assert (info.value.line, info.value.column) == (line, column)
+
+    @pytest.mark.parametrize("content", [None, b"caf\xe9 0.1 0.2\n"], ids=["missing", "latin1"])
+    def test_unreadable_file_is_a_data_error_naming_it(self, tmp_path, content):
+        path = tmp_path / "vectors.txt"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match=re.escape(str(path))):
             enc.load_embedding_file(str(path))
 
     def test_random_fallback_is_seeded(self):

@@ -358,7 +358,7 @@ class TestPruneSweep:
 
     def test_needs_z_values(self):
         fixture = make_fixture(np.random.default_rng(10), 4)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigurationError):
             training.prune_sweep(fixture, fixture, TEST_CONFIG,
                                  TrainConfig(epochs=1, seeds=(0,)), z_values=[])
 
@@ -377,6 +377,6 @@ class TestPruneSweep:
     @pytest.mark.parametrize("bad", [{"epochs": 0}, {"lr": -1.0}], ids=["epochs", "lr"])
     def test_train_config_is_validated(self, bad):
         fixture = make_fixture(np.random.default_rng(10), 4)
-        with pytest.raises(DataError, match=next(iter(bad))):
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
             training.prune_sweep(fixture, fixture, TEST_CONFIG,
                                  TrainConfig(seeds=(0,), **bad), z_values=[0.5])

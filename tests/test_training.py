@@ -7,7 +7,7 @@ from spantriplet import autodiff as ad
 from spantriplet import training
 from spantriplet.data import GoldTriplet, Sentence, make_fixture
 from spantriplet.encoder import Vocabulary, enumerate_spans
-from spantriplet.errors import DataError, NumericalError
+from spantriplet.errors import ConfigurationError, DataError, NumericalError
 from spantriplet.model import ModelConfig, SpanModel
 from spantriplet.pruning import (MENTION_INVALID, MENTION_OPINION, MENTION_TARGET,
                                  SINGLE_INVALID, SINGLE_VALID, SpanCandidate)
@@ -181,12 +181,12 @@ class TestTrainConfig:
         ("weight_decay", "none"),
     ])
     def test_bad_optimizer_settings_are_rejected(self, field, value):
-        with pytest.raises(DataError, match=field):
-            TrainConfig(**{field: value}).validate()
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(**{field: value})
 
     def test_valid_optimizer_settings_pass(self):
-        TrainConfig(lr=1, weight_decay=0).validate()
-        TrainConfig(lr=np.float64(5e-4), weight_decay=1e-2).validate()
+        TrainConfig(lr=1, weight_decay=0)
+        TrainConfig(lr=np.float64(5e-4), weight_decay=1e-2)
 
 
 class TestTrainEpoch:
