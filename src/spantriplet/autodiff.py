@@ -15,7 +15,9 @@ backward is written by hand. Max or mean pooling over every span of a
 sentence is one op too, and so is each affine layer of a scorer. The
 relation scorer's layer 0 and the pair matrix it reads are one op,
 ``pair_linear``: its backward sums the output gradient over the pools
-before any GEMM, so no (pairs, 2D + dd) gradient is ever formed.
+before any GEMM, so no (pairs, 2D + dd) gradient is ever formed, and its
+forward builds the pair matrix a block of rows at a time in a buffer its
+weight keeps.
 A training step allocates little: weight gradients from GEMMs go through a
 product buffer each weight keeps, row gathers scatter their gradient into
 the existing buffer, and AdamW updates in place, block by block.
@@ -40,7 +42,8 @@ from .errors import CheckpointError, ConfigurationError, DimensionError, Trainin
 class Tensor:
     """Dense n-dimensional value node of the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_product")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_product",
+                 "_rows")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -49,6 +52,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._product: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -84,6 +88,19 @@ class Tensor:
         if self._product is None:
             self._product = np.empty_like(self.data)
         return self._product
+
+    def _rows_buffer(self, rows: int) -> np.ndarray:
+        """A (rows, len(data)) scratch buffer for rows this weight multiplies.
+
+        It is kept, and grown when too short, for the next forward, so a
+        forward that fills it block by block allocates nothing: a fresh
+        buffer of megabytes per call makes the allocator hand its pages
+        back and fault them in again on every sentence.
+        """
+        size = rows * self.data.shape[0]
+        if self._rows is None or self._rows.size < size:
+            self._rows = np.empty(size)
+        return self._rows[:size].reshape(rows, self.data.shape[0])
 
     def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
         """Add ``a @ b`` to the gradient through the product buffer."""
@@ -273,6 +290,11 @@ def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     return _make(x.data[idx], (x,), backward)
 
 
+# Rows of the pair matrix that pair_linear builds at a time: 5 MiB at the
+# reference width of 2568.
+PAIR_BLOCK_ROWS = 256
+
+
 def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
                 table: Tensor | None, buckets: Sequence[int] | None,
                 w: Tensor, b: Tensor) -> Tensor:
@@ -281,8 +303,14 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
     ``x`` is the (kt * ko, 2D + dd) pair matrix: row ``a * ko + b`` is
     ``[reps[targets[a]]; reps[opinions[b]]; table[buckets[a * ko + b]]]``;
     without a table the last block is absent and ``buckets`` must be None.
-    The forward builds ``x`` and runs one GEMM, so its bits are those of
-    ``linear`` on the materialized matrix, then drops ``x``.
+    ``x`` never exists whole. The forward writes it a block of whole target
+    groups at a time, about ``PAIR_BLOCK_ROWS`` rows, into one scratch
+    buffer that ``w`` keeps, and runs that block's GEMM into its rows of
+    the output. The blocks hold equal target counts, give or take one, so
+    none is a 1- or 2-row product unless the whole matrix is: BLAS rounds
+    those through other kernels. Every row then has the bits of ``linear``
+    on the materialized matrix wherever BLAS takes the same kernel for a
+    block as for the whole, as OpenBLAS does at the reference width.
 
     Backward never forms a (kt * ko, .) gradient. With ``w`` split into
     its target, opinion and distance blocks W_t, W_o, W_d and ``g`` viewed
@@ -313,13 +341,22 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
     if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
         raise DimensionError(f"pair_linear: pair rows of width {width} need a ({width}, out) "
                              f"weight and (out,) bias, got {w.shape} and {b.shape}")
-    x = np.empty((kt * ko, width))
-    grid = x.reshape(kt, ko, width)
-    grid[:, :, :dim] = reps.data[t_idx][:, None, :]
-    grid[:, :, dim:2 * dim] = reps.data[o_idx][None, :, :]
-    if table is not None:
-        x[:, 2 * dim:] = table.data[b_idx]
-    data = x @ w.data
+    data = np.empty((kt * ko, w.shape[1]))
+    # A block holds at least one target, so an opinion pool wider than a
+    # block gives one target per block.
+    per_block = max(1, PAIR_BLOCK_ROWS // max(ko, 1))
+    blocks = max(1, math.ceil(kt / per_block))
+    bounds = [i * kt // blocks for i in range(blocks + 1)]
+    scratch = w._rows_buffer(math.ceil(kt / blocks) * ko)
+    opinion_rows = reps.data[o_idx]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        x = scratch[:(stop - start) * ko]
+        grid = x.reshape(stop - start, ko, width)
+        grid[:, :, :dim] = reps.data[t_idx[start:stop]][:, None, :]
+        grid[:, :, dim:2 * dim] = opinion_rows
+        if table is not None:
+            x[:, 2 * dim:] = table.data[b_idx[start * ko:stop * ko]]
+        np.matmul(x, w.data, out=data[start * ko:stop * ko])
     data += b.data
 
     def backward(g: np.ndarray) -> None:

@@ -139,6 +139,9 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
         raise ConfigurationError(f"config sections {not_objects} must be JSON objects")
     paths, model_cfg, train_cfg = (dict(value) for value in sections.values())
     _reject_unread(paths, _PATH_KEYS[command], "paths keys", command)
+    not_strings = sorted(key for key, value in paths.items() if not isinstance(value, str))
+    if not_strings:
+        raise ConfigurationError(f"paths {not_strings} must be strings")
     if command == "prune-sweep":
         swept = sorted(set(model_cfg) & set(_SWEPT_FIELDS))
         if swept:
@@ -190,8 +193,15 @@ def _load_embeddings_if_any(path: str | None, model: ModelConfig):
     return vectors
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {path}: {exc.strerror}") from exc
+
+
 def _echo_config(config: dict, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     atomic_write_text(os.path.join(out_dir, "config.json"),
                       json.dumps(config, indent=2) + "\n")
 
@@ -242,7 +252,7 @@ def cmd_eval(args) -> int:
     rendered = "\n".join(text)
     print(rendered)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         atomic_write_text(os.path.join(args.out, "eval.json"),
                           json.dumps(report, indent=2) + "\n")
         atomic_write_text(os.path.join(args.out, "eval.txt"), rendered + "\n")

@@ -8,6 +8,7 @@ pair over four relation classes. The graph is rebuilt per sentence.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -94,8 +95,8 @@ class ModelConfig:
         if self.channel_mode not in pruning.CHANNEL_MODES:
             raise ConfigurationError(
                 f"channel_mode must be one of {pruning.CHANNEL_MODES}, got {self.channel_mode!r}")
-        if self.z <= 0:
-            raise ConfigurationError(f"z must be positive, got {self.z}")
+        if not 0 < self.z < math.inf:
+            raise ConfigurationError(f"z must be positive and finite, got {self.z}")
 
     @property
     def span_vector_dim(self) -> int:

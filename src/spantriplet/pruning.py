@@ -36,8 +36,8 @@ class SpanCandidate:
 
 def pool_size(n: int, z: float, n_candidates: int) -> int:
     """k = min(ceil(n * z), number of candidates); ceil keeps k >= 1."""
-    if z <= 0:
-        raise ConfigurationError(f"pruning threshold z must be positive, got {z}")
+    if not 0 < z < math.inf:
+        raise ConfigurationError(f"pruning threshold z must be positive and finite, got {z}")
     return min(math.ceil(n * z), n_candidates)
 
 

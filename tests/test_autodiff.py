@@ -1,5 +1,6 @@
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,10 @@ def pair_cases():
     rng = np.random.default_rng(27)
     spans = len(enumerate_spans(40, 8))
     t_idx, o_idx = (rng.choice(spans, size=k, replace=False) for k in (20, 20))
+    # Pools whose pair rows cross pair_linear's block boundaries.
+    block = ad.PAIR_BLOCK_ROWS
+    rows = 2 * block + 2
+    t_wide, o_wide = (rng.choice(rows, size=block + 1, replace=False) for _ in range(2))
     return {
         "k x k pools": (spans, t_idx, o_idx, True),
         "kt != ko": (spans, t_idx[:7], o_idx[:3], True),
@@ -346,6 +351,12 @@ def pair_cases():
         "empty target pool": (12, [], [1, 2], True),
         "empty opinion pool": (12, [1, 2], [], True),
         "no distance table": (spans, t_idx[:6], o_idx[:5], False),
+        "rows = one block": (rows, t_wide[:block // 16], o_wide[:16], True),
+        "one target group past a block": (rows, t_wide[:block // 16 + 1], o_wide[:16], True),
+        "ko > block, one target per block": (rows, t_wide[:3], o_wide, True),
+        "ko = 1, kt = block + 1": (rows, t_wide, o_wide[:1], True),
+        "ko = 2 across blocks": (rows, t_wide[:block // 2 + 1], o_wide[:2], True),
+        "across blocks, no distance table": (rows, t_wide[:40], o_wide[:9], False),
     }
 
 
@@ -461,6 +472,30 @@ class TestPairLinear:
         loss().backward()
         np.testing.assert_array_equal(w.grad, 2.0 * once)
         assert np.any(once != 0.0)
+
+    def test_forward_never_holds_the_pair_matrix(self):
+        rng = np.random.default_rng(30)
+        dim, distance, hidden, k = 1220, 128, 150, 40  # reference widths, 6+ blocks
+        reps = Tensor(rng.normal(size=(2 * k, dim)))
+        table = Tensor(rng.normal(size=(10, distance)))
+        buckets = rng.integers(0, 10, size=k * k)
+        w = Tensor(rng.normal(size=(2 * dim + distance, hidden)))
+        b = Tensor(rng.normal(size=hidden))
+
+        def forward_peak():
+            tracemalloc.start()
+            try:
+                ad.pair_linear(reps, range(k), range(k, 2 * k), table, buckets, w, b)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        matrix, block = (rows * w.shape[0] * 8 for rows in (k * k, ad.PAIR_BLOCK_ROWS))
+        assert k * k >= 4 * ad.PAIR_BLOCK_ROWS
+        first, second = forward_peak(), forward_peak()
+        assert first < matrix / 3, (first, matrix)
+        # The weight keeps the block buffer, so a second forward allocates none.
+        assert second < block, (second, block)
 
     def test_out_of_range_indices(self):
         reps, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 1)))

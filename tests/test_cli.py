@@ -405,12 +405,16 @@ class TestBadInput:
         ("train", {"model": {"embedding_dim": 2.5}}, "embedding_dim"),
         ("train", {"model": {"use_width_distance": "no"}}, "use_width_distance"),
         ("train", {"model": {"z": True}}, "z"),
+        ("train", {"model": {"z": float("nan")}}, "z"),
+        ("train", {"model": {"z": float("inf")}}, "z"),
+        ("train", {"paths": {"dev_path": 3}}, "dev_path"),
         ("train", {"training": {"seeds": 3}}, "seeds"),
         ("train", {"training": {"seeds": ["a"]}}, "seeds"),
         ("train", {"training": {"epochs": "2"}}, "epochs"),
         ("train", {"training": {"epochs": 1.5}}, "epochs"),
         ("prune-sweep", {"z_values": "0.5"}, "z_values"),
         ("prune-sweep", {"z_values": [0]}, "z"),
+        ("prune-sweep", {"z_values": [float("inf")]}, "z"),
         ("prune-sweep", {"sweep_modes": ["bogus"]}, "sweep_modes"),
     ])
     def test_bad_config_value_exits_1_before_any_directory(self, tmp_path, corpus_path,
@@ -437,6 +441,25 @@ class TestBadInput:
         lines = error_lines(capsys.readouterr().err)
         assert len(lines) == 1 and str(tmp_path) in lines[0]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "prune-sweep", "eval"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, corpus_path, capsys, command):
+        with open(corpus_path) as handle:
+            before = handle.read()
+        if command == "eval":
+            checkpoint = str(tmp_path / "model.ckpt.npz")
+            SpanModel(ModelConfig(**TINY_MODEL), Vocabulary.build([["the"]])).save(checkpoint)
+            argv = ["eval", "--checkpoint", checkpoint, "--test", corpus_path]
+        else:
+            argv = [command, "--config", make_config(tmp_path, corpus_path),
+                    "--train", corpus_path]
+            if command == "prune-sweep":
+                argv += ["--z-values", "0.5"]
+        assert main(argv + ["--out", corpus_path]) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and corpus_path in lines[0], lines
+        with open(corpus_path) as handle:
+            assert handle.read() == before
 
     def test_stats_on_a_directory_exits_2(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path)]) == 2

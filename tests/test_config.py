@@ -20,6 +20,7 @@ class TestModelConfigRules:
         ("width_dim", 0), ("distance_dim", 0), ("max_span_gap", -1),
         ("lstm_dropout", 1.0), ("lstm_dropout", -0.1), ("ffnn_dropout", 1.0),
         ("span_mode", "bogus"), ("channel_mode", "triple"), ("z", 0), ("z", -0.5),
+        ("z", float("nan")), ("z", float("inf")), ("z", -float("inf")),
         # a wrong type for each field kind
         ("embedding_dim", "six"), ("max_span_gap", 2.5), ("lstm_dropout", "0.5"),
         ("z", None), ("use_width_distance", "no"), ("use_width_distance", 1),

@@ -114,6 +114,11 @@ class TestDualChannelPruning:
         with pytest.raises(ConfigurationError):
             pruning.prune_dual_channel(candidates, 1, 0.5)
 
+    @pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf")])
+    def test_z_outside_zero_to_infinity_rejected(self, z):
+        with pytest.raises(ConfigurationError, match="z"):
+            pruning.pool_size(10, z, 5)
+
 
 class TestSingleChannelPruning:
     def test_pair_count_is_k_squared(self):
