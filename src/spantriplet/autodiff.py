@@ -22,21 +22,20 @@ A training step allocates little: weight gradients from GEMMs go through a
 product buffer each weight keeps, row gathers scatter their gradient into
 the existing buffer, and AdamW updates in place, block by block.
 
-Gradients only flow into tensors with ``requires_grad``; a detached input
-never gets a grad buffer allocated.
+``Tensor._accumulate`` is the one gradient gate: it drops the gradient of
+a tensor without ``requires_grad``, ``_accumulate_product`` drops it before
+its GEMM and ``_scatter_rows`` before it allocates, so a detached input
+never gets a grad buffer and each op's backward is its bare gradient formula.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigurationError, DimensionError, TrainingStateError
+from .errors import ConfigurationError, DimensionError, TrainingStateError
 
 
 class Tensor:
@@ -72,6 +71,9 @@ class Tensor:
             self.grad.fill(0.0)
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to the gradient; a tensor without ``requires_grad`` takes none."""
+        if not self.requires_grad:
+            return
         if self.grad is None:
             # A fresh buffer (``g`` may be a view shared with other consumers)
             # holding 0.0 + g in one pass: the bits of zeros plus ``g``.
@@ -102,9 +104,19 @@ class Tensor:
             self._rows = np.empty(size)
         return self._rows[:size].reshape(rows, self.data.shape[0])
 
-    def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Add ``a @ b`` to the gradient through the product buffer."""
-        self._accumulate(np.matmul(a, b, out=self._product_buffer()))
+    def _accumulate_product(self, *factors: tuple[np.ndarray, np.ndarray]) -> None:
+        """Add the products ``a @ b`` of ``factors``, stacked by rows, through the product buffer.
+
+        Returns before any GEMM for a tensor without ``requires_grad``.
+        """
+        if not self.requires_grad:
+            return
+        product = self._product_buffer()
+        start = 0
+        for a, b in factors:
+            np.matmul(a, b, out=product[start:start + a.shape[0]])
+            start += a.shape[0]
+        self._accumulate(product)
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this node.
@@ -186,9 +198,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
 
     def backward(g: np.ndarray) -> None:
-        for t in (a, b):
-            if t.requires_grad:
-                t._accumulate(g)
+        a._accumulate(g)
+        b._accumulate(g)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -206,12 +217,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data += b.data
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate_product(x.data.T, g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+        x._accumulate(g @ w.data.T)
+        w._accumulate_product((x.data.T, g))
+        b._accumulate(g.sum(axis=0))
 
     return _make(data, (x, w, b), backward)
 
@@ -240,10 +248,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * ndim
-                index[axis] = slice(start, stop)
-                t._accumulate(g[tuple(index)])
+            index = [slice(None)] * ndim
+            index[axis] = slice(start, stop)
+            t._accumulate(g[tuple(index)])
 
     return _make(data, tuple(tensors), backward)
 
@@ -368,20 +375,14 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
             # One (buckets seen, P) indicator GEMM sums g per bucket.
             buckets_seen = np.unique(b_idx)
             by_bucket = np.equal.outer(buckets_seen, b_idx) @ g
-        if reps.requires_grad:
-            _scatter_rows(reps, t_idx, by_target @ w_t.T)
-            _scatter_rows(reps, o_idx, by_opinion @ w_o.T)
-        if table is not None and table.requires_grad:
+        _scatter_rows(reps, t_idx, by_target @ w_t.T)
+        _scatter_rows(reps, o_idx, by_opinion @ w_o.T)
+        factors = [(reps.data[t_idx].T, by_target), (reps.data[o_idx].T, by_opinion)]
+        if table is not None:
             _scatter_rows(table, buckets_seen, by_bucket @ w_d.T)
-        if w.requires_grad:
-            product = w._product_buffer()
-            np.matmul(reps.data[t_idx].T, by_target, out=product[:dim])
-            np.matmul(reps.data[o_idx].T, by_opinion, out=product[dim:2 * dim])
-            if table is not None:
-                np.matmul(table.data[buckets_seen].T, by_bucket, out=product[2 * dim:])
-            w._accumulate(product)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+            factors.append((table.data[buckets_seen].T, by_bucket))
+        w._accumulate_product(*factors)
+        b._accumulate(g.sum(axis=0))
 
     parents = (reps, w, b) if table is None else (reps, table, w, b)
     return _make(data, parents, backward)
@@ -423,8 +424,6 @@ def span_pool(h: Tensor, starts: Sequence[int], ends: Sequence[int], mode: str) 
         data = window.sum(axis=1) / widths[:, None]
 
     def backward(g: np.ndarray) -> None:
-        if not h.requires_grad:
-            return
         if mode == "max":
             # The first argmax never lies in the padding, so its row is start + position.
             picked = h.data[window_rows].argmax(axis=1)
@@ -448,8 +447,7 @@ def span_pool(h: Tensor, starts: Sequence[int], ends: Sequence[int], mode: str) 
 
 def relu(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * (x.data > 0.0))
+        x._accumulate(g * (x.data > 0.0))
 
     return _make(np.maximum(x.data, 0.0), (x,), backward)
 
@@ -528,15 +526,11 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
             dc_next = dc * f[t]
             dh_next = w_hh.data @ d_pre[t].reshape(-1)
         d_pre = d_pre.reshape(n, 4 * hidden)
-        if w_ih.requires_grad:
-            w_ih._accumulate_product(xs.T, d_pre)
-        if w_hh.requires_grad:
-            w_hh._accumulate_product(h_prev.T, d_pre)
-        if bias.requires_grad:
-            bias._accumulate(d_pre.sum(axis=0))
-        if x.requires_grad:
-            dx = d_pre @ w_ih.data.T
-            x._accumulate(dx[::-1] if reverse else dx)
+        w_ih._accumulate_product((xs.T, d_pre))
+        w_hh._accumulate_product((h_prev.T, d_pre))
+        bias._accumulate(d_pre.sum(axis=0))
+        dx = d_pre @ w_ih.data.T
+        x._accumulate(dx[::-1] if reverse else dx)
 
     return _make(states[::-1] if reverse else states, (x, w_ih, w_hh, bias), backward)
 
@@ -553,8 +547,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * mask)
+        x._accumulate(g * mask)
 
     return _make(x.data * mask, (x,), backward)
 
@@ -586,11 +579,10 @@ def softmax_nll(logits: Tensor, gold: Sequence[int]) -> Tensor:
     data = np.asarray(losses.sum())
 
     def backward(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            grad = probs.copy()
-            grad[rows_ix, golds] -= 1.0
-            grad *= float(g)
-            logits._accumulate(grad)
+        grad = probs.copy()
+        grad[rows_ix, golds] -= 1.0
+        grad *= float(g)
+        logits._accumulate(grad)
 
     return _make(data, (logits,), backward)
 
@@ -738,78 +730,3 @@ class AdamW:
                 u *= self.lr
                 w -= u
                 g.fill(0.0)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_FORMAT = "spantriplet-checkpoint-v1"
-
-
-def save_checkpoint(path: str, params: Iterable[Parameter],
-                    meta: dict | None = None) -> None:
-    """Write parameters (name -> shape -> values) plus JSON metadata.
-
-    The file is an ``.npz`` container with a format tag, written via a
-    temp file and rename so readers never see a truncated checkpoint.
-    """
-    arrays: dict[str, np.ndarray] = {"__format__": np.array(CHECKPOINT_FORMAT)}
-    if meta is not None:
-        arrays["__meta__"] = np.array(json.dumps(meta))
-    for p in params:
-        key = "param/" + p.name
-        if key in arrays:
-            raise CheckpointError(f"duplicate parameter name {p.name!r}")
-        arrays[key] = p.data
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns (name -> array, metadata)."""
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            names = set(npz.files)
-            if "__format__" not in names:
-                raise CheckpointError(f"{path}: missing format tag, not a checkpoint")
-            tag = str(npz["__format__"][()])
-            if tag != CHECKPOINT_FORMAT:
-                raise CheckpointError(f"{path}: unsupported format {tag!r}")
-            meta = {}
-            if "__meta__" in names:
-                meta = json.loads(str(npz["__meta__"][()]))
-            arrays = {
-                name[len("param/"):]: npz[name]
-                for name in names if name.startswith("param/")
-            }
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
-    return arrays, meta
-
-
-def restore_parameters(params: Iterable[Parameter],
-                       arrays: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into parameters, validating every shape."""
-    params = list(params)
-    expected = {p.name for p in params}
-    for name in arrays:
-        if name not in expected:
-            raise CheckpointError(f"checkpoint has unexpected parameter {name!r}")
-    for p in params:
-        if p.name not in arrays:
-            raise CheckpointError(f"checkpoint is missing parameter {p.name!r}")
-        arr = arrays[p.name]
-        if tuple(arr.shape) != p.shape:
-            raise CheckpointError(
-                f"parameter {p.name!r}: checkpoint shape {tuple(arr.shape)} != model shape {p.shape}"
-            )
-        p.data = arr.astype(np.float64, copy=True)

@@ -237,6 +237,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _make_out_dir(args.out)
     model = SpanModel.load(args.checkpoint)
     sentences = dataio.load_corpus(args.test)
     report = evalmod.evaluate_model(model, sentences, args.modes)
@@ -252,7 +254,6 @@ def cmd_eval(args) -> int:
     rendered = "\n".join(text)
     print(rendered)
     if args.out:
-        _make_out_dir(args.out)
         atomic_write_text(os.path.join(args.out, "eval.json"),
                           json.dumps(report, indent=2) + "\n")
         atomic_write_text(os.path.join(args.out, "eval.txt"), rendered + "\n")
@@ -260,13 +261,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    dataio.output_directory(args.out)  # a missing directory fails before any loading
     model = SpanModel.load(args.checkpoint)
     sentences = dataio.load_corpus(args.test)
-    predicted = []
-    for sentence in sentences:
-        triplets = [dataio.GoldTriplet(p.target, p.opinion, p.sentiment)
-                    for p in model.predict(sentence.tokens)]
-        predicted.append(dataio.Sentence(sentence.id, sentence.tokens, triplets))
+    predictions = evalmod.corpus_pass(model, sentences).predictions
+    predicted = [dataio.Sentence(s.id, s.tokens,
+                                 [dataio.GoldTriplet(p.target, p.opinion, p.sentiment)
+                                  for p in predictions[s.id]])
+                 for s in sentences]
     dataio.write_corpus(args.out, predicted)
     print(f"wrote {len(predicted)} sentences to {args.out}")
     return 0

@@ -1,4 +1,4 @@
-"""Corpus line format, dataset statistics, and synthetic fixtures.
+"""Corpus line format, checkpoints, the one file writer, statistics and fixtures.
 
 A corpus file holds one sentence per line::
 
@@ -9,20 +9,26 @@ after it lists (target indices, opinion indices, sentiment tag) tuples.
 Index lists must describe contiguous token runs; they are normalized to
 sorted order on parse. Prediction files reuse the identical syntax, so
 gold and predicted corpora are interchangeable evaluator inputs.
+
+A checkpoint is an ``.npz`` file: a ``__format__`` tag, the JSON ``__meta__``
+and one ``param/<name>`` array per parameter. Every file the package writes
+goes through ``atomic_write``, a temp file renamed onto the target once full.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
+from .autodiff import Parameter
 from .encoder import Span, read_lines, span_width
-from .errors import DataError, ParseError
+from .errors import CheckpointError, DataError, ParseError
 from .triplet import SENTIMENT_TAGS
 
 SEPARATOR = "####"
@@ -142,16 +148,24 @@ def find_benchmark_split(roots: Iterable[str], dataset: str, split: str) -> str 
     return None
 
 
-def atomic_write_text(path: str, content: str) -> None:
-    """Write via temp file + rename so interrupted runs never leave truncated files."""
+def output_directory(path: str) -> str:
+    """The directory a file at ``path`` goes into; a DataError naming ``path`` if it is absent."""
     directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise DataError(f"cannot write {path}: no directory {directory}")
+    return directory
+
+
+def atomic_write(path: str, fill: Callable[[IO[bytes]], object]) -> None:
+    """Let ``fill`` stream bytes into a temp file beside ``path``, then rename it onto ``path``."""
+    directory = output_directory(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror}") from exc
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(content)
+        with os.fdopen(fd, "wb") as handle:
+            fill(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -159,8 +173,74 @@ def atomic_write_text(path: str, content: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, content: str) -> None:
+    atomic_write(path, lambda handle: handle.write(content.encode("utf-8")))
+
+
 def write_corpus(path: str, sentences: Iterable[Sentence]) -> None:
     atomic_write_text(path, "".join(serialize_sentence(s) + "\n" for s in sentences))
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints
+# ---------------------------------------------------------------------------
+
+CHECKPOINT_FORMAT = "spantriplet-checkpoint-v1"
+
+
+def save_checkpoint(path: str, params: Iterable[Parameter],
+                    meta: dict | None = None) -> None:
+    """Write parameters (name -> shape -> values) plus JSON metadata as a tagged ``.npz`` file."""
+    arrays: dict[str, np.ndarray] = {"__format__": np.array(CHECKPOINT_FORMAT)}
+    if meta is not None:
+        arrays["__meta__"] = np.array(json.dumps(meta))
+    for p in params:
+        key = "param/" + p.name
+        if key in arrays:
+            raise CheckpointError(f"duplicate parameter name {p.name!r}")
+        arrays[key] = p.data
+    atomic_write(path, lambda handle: np.savez(handle, **arrays))
+
+
+def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; returns (name -> array, metadata)."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            names = set(npz.files)
+            if "__format__" not in names:
+                raise CheckpointError(f"{path}: missing format tag, not a checkpoint")
+            tag = str(npz["__format__"][()])
+            if tag != CHECKPOINT_FORMAT:
+                raise CheckpointError(f"{path}: unsupported format {tag!r}")
+            meta = {}
+            if "__meta__" in names:
+                meta = json.loads(str(npz["__meta__"][()]))
+            arrays = {
+                name[len("param/"):]: npz[name]
+                for name in names if name.startswith("param/")
+            }
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
+    return arrays, meta
+
+
+def restore_parameters(params: Iterable[Parameter],
+                       arrays: dict[str, np.ndarray]) -> None:
+    """Copy checkpoint arrays into parameters, validating every shape."""
+    params = list(params)
+    expected = {p.name for p in params}
+    for name in arrays:
+        if name not in expected:
+            raise CheckpointError(f"checkpoint has unexpected parameter {name!r}")
+    for p in params:
+        if p.name not in arrays:
+            raise CheckpointError(f"checkpoint is missing parameter {p.name!r}")
+        arr = arrays[p.name]
+        if tuple(arr.shape) != p.shape:
+            raise CheckpointError(
+                f"parameter {p.name!r}: checkpoint shape {tuple(arr.shape)} != model shape {p.shape}"
+            )
+        p.data = arr.astype(np.float64, copy=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from . import pruning
 from .autodiff import FeedForward, Parameter, Tensor
+from .data import load_checkpoint, restore_parameters, save_checkpoint
 from .encoder import Span, Vocabulary
 from .errors import CheckpointError, ConfigurationError, TrainingStateError
 from .pruning import SpanCandidate
@@ -269,11 +270,11 @@ class SpanModel:
         }
         if extra_meta:
             meta.update(extra_meta)
-        ad.save_checkpoint(path, self.parameters(), meta)
+        save_checkpoint(path, self.parameters(), meta)
 
     @classmethod
     def load(cls, path: str) -> "SpanModel":
-        arrays, meta = ad.load_checkpoint(path)
+        arrays, meta = load_checkpoint(path)
         if "config" not in meta or "vocab" not in meta:
             raise CheckpointError(f"{path}: checkpoint lacks model config or vocabulary")
         try:
@@ -281,11 +282,11 @@ class SpanModel:
         except ConfigurationError as exc:
             raise CheckpointError(f"{path}: stored model config is invalid: {exc}") from exc
         model = cls(config, Vocabulary(meta["vocab"]))
-        ad.restore_parameters(model.parameters(), arrays)
+        restore_parameters(model.parameters(), arrays)
         return model
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self.parameters()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        ad.restore_parameters(self.parameters(), arrays)
+        restore_parameters(self.parameters(), arrays)

@@ -47,29 +47,26 @@ def _top_k(candidates: list[SpanCandidate], key_index: int, k: int) -> list[Span
     return ranked[:k]
 
 
+def _checked_pool_size(candidates: list[SpanCandidate], n: int, z: float, channel: str,
+                       classes: tuple[str, ...]) -> int:
+    """``pool_size`` for a non-empty candidate list scored over ``classes``."""
+    if not candidates:
+        raise DataError("cannot prune an empty candidate list")
+    if len(candidates[0].probs) != len(classes):
+        raise ConfigurationError(f"{channel}-channel pruning needs {len(classes)}-class mention "
+                                 f"scores, got {len(candidates[0].probs)} classes")
+    return pool_size(n, z, len(candidates))
+
+
 def prune_dual_channel(candidates: list[SpanCandidate], n: int,
                        z: float) -> tuple[list[SpanCandidate], list[SpanCandidate]]:
     """Top-k pools by target and by opinion probability (pools may overlap)."""
-    if not candidates:
-        raise DataError("cannot prune an empty candidate list")
-    if len(candidates[0].probs) != len(MENTION_CLASSES):
-        raise ConfigurationError(
-            "dual-channel pruning needs 3-class mention scores, got "
-            f"{len(candidates[0].probs)} classes"
-        )
-    k = pool_size(n, z, len(candidates))
+    k = _checked_pool_size(candidates, n, z, "dual", MENTION_CLASSES)
     return _top_k(candidates, MENTION_TARGET, k), _top_k(candidates, MENTION_OPINION, k)
 
 
 def prune_single_channel(candidates: list[SpanCandidate], n: int,
                          z: float) -> list[SpanCandidate]:
     """One shared pool ranked by the validity probability of a 2-class scorer."""
-    if not candidates:
-        raise DataError("cannot prune an empty candidate list")
-    if len(candidates[0].probs) != len(SINGLE_CHANNEL_CLASSES):
-        raise ConfigurationError(
-            "single-channel pruning needs 2-class mention scores, got "
-            f"{len(candidates[0].probs)} classes"
-        )
-    k = pool_size(n, z, len(candidates))
+    k = _checked_pool_size(candidates, n, z, "single", SINGLE_CHANNEL_CLASSES)
     return _top_k(candidates, SINGLE_VALID, k)

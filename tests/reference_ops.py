@@ -30,7 +30,7 @@ def matmul(a, b):
             if a.requires_grad:
                 a._accumulate(g @ b.data.T)
             if b.requires_grad:
-                b._accumulate_product(a.data.T, g)
+                b._accumulate_product((a.data.T, g))
             return
         if a.ndim == 2 and b.ndim == 1:
             ga, gb = np.outer(g, b.data), a.data.T @ g

@@ -9,8 +9,7 @@ from spantriplet import autodiff as ad
 from spantriplet.autodiff import AdamW, FeedForward, Parameter, Tensor
 from spantriplet.data import make_fixture
 from spantriplet.encoder import SPAN_MODES, Vocabulary, enumerate_spans
-from spantriplet.errors import (CheckpointError, DimensionError,
-                                TrainingStateError)
+from spantriplet.errors import DimensionError, TrainingStateError
 from spantriplet.model import ModelConfig, SpanModel
 from spantriplet.pruning import CHANNEL_MODES
 from spantriplet.training import TrainConfig, make_optimizer, train_epoch
@@ -572,6 +571,28 @@ class TestWeightGradientsAccumulate:
         np.testing.assert_array_equal(w_hh.grad, 2.0 * once[1])
 
 
+def _multi_parent_ops():
+    rng = np.random.default_rng(41)
+
+    def normal(*shape):
+        return rng.normal(size=shape)
+
+    return {
+        "add": (ad.add, [normal(4, 3), normal(4, 3)]),
+        "linear": (ad.linear, [normal(4, 3), normal(3, 2), normal(2)]),
+        "concat": (lambda a, b: ad.concat([a, b], axis=1), [normal(4, 3), normal(4, 2)]),
+        "pair_linear": (lambda reps, table, w, b: ad.pair_linear(
+            reps, [0, 2], [1, 3, 4], table, [0, 1, 2, 3, 0, 1], w, b),
+            [normal(5, 3), normal(4, 2), normal(8, 2), normal(2)]),
+        "lstm": (lambda x, w_ih, w_hh, bias: ad.lstm(x, w_ih, w_hh, bias, reverse=True),
+                 [normal(4, 3), normal(3, 8), normal(2, 8), normal(8)]),
+    }
+
+
+# Each op whose node has more than one parent, with inputs to build it from.
+MULTI_PARENT_OPS = _multi_parent_ops()
+
+
 class TestBackwardContract:
     def test_first_gradient_is_a_fresh_positive_zero_buffer(self):
         # add() hands the same seed array to both inputs; each input must get
@@ -601,6 +622,28 @@ class TestBackwardContract:
         ref.tensor_sum(ref.mul(x, y)).backward()
         assert y.grad is None
         np.testing.assert_array_equal(x.grad, y.data)
+
+    @pytest.mark.parametrize("op", sorted(MULTI_PARENT_OPS))
+    def test_constant_input_of_a_multi_parent_op_gets_no_grad_buffer(self, op):
+        # Each input in turn is a constant: it gets neither a gradient nor a
+        # product buffer, and the other inputs' gradients keep the bits they
+        # have when that input is a Parameter too.
+        build, arrays = MULTI_PARENT_OPS[op]
+        seed = np.random.default_rng(42).normal(size=build(*map(Tensor, arrays)).shape)
+
+        def backward(constant):
+            inputs = [Tensor(a) if i == constant else Parameter(a, name=f"p{i}")
+                      for i, a in enumerate(arrays)]
+            build(*inputs).backward(seed=seed)
+            return inputs
+
+        every_grad = [t.grad for t in backward(None)]
+        for constant in range(len(arrays)):
+            inputs = backward(constant)
+            assert inputs[constant].grad is None and inputs[constant]._product is None
+            for i, (t, reference) in enumerate(zip(inputs, every_grad)):
+                if i != constant:
+                    assert t.grad.tobytes() == reference.tobytes(), (constant, i)
 
     def test_fully_detached_graph_is_a_no_op(self):
         x = Tensor([1.0])
@@ -802,42 +845,3 @@ class TestXavierInit:
             ad.xavier_init((0, 5), np.random.default_rng(0))
         with pytest.raises(DimensionError):
             ad.xavier_init((7,), np.random.default_rng(0))
-
-
-class TestCheckpointIO:
-    def test_roundtrip_preserves_values(self, tmp_path):
-        rng = np.random.default_rng(3)
-        params = [Parameter(rng.normal(size=(3, 2)), name="w"),
-                  Parameter(rng.normal(size=5), name="b")]
-        path = str(tmp_path / "model.npz")
-        ad.save_checkpoint(path, params, meta={"note": "x"})
-        arrays, meta = ad.load_checkpoint(path)
-        assert meta == {"note": "x"}
-        fresh = [Parameter(np.zeros((3, 2)), name="w"),
-                 Parameter(np.zeros(5), name="b")]
-        ad.restore_parameters(fresh, arrays)
-        for old, new in zip(params, fresh):
-            np.testing.assert_array_equal(old.data, new.data)
-
-    def test_shape_mismatch_names_parameter(self, tmp_path):
-        path = str(tmp_path / "model.npz")
-        ad.save_checkpoint(path, [Parameter(np.zeros((3, 2)), name="w")])
-        arrays, _ = ad.load_checkpoint(path)
-        with pytest.raises(CheckpointError, match="'w'"):
-            ad.restore_parameters([Parameter(np.zeros((2, 2)), name="w")], arrays)
-
-    def test_not_a_checkpoint(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"definitely not a checkpoint")
-        with pytest.raises(CheckpointError):
-            ad.load_checkpoint(str(path))
-
-    def test_missing_and_unexpected_parameters(self, tmp_path):
-        path = str(tmp_path / "model.npz")
-        ad.save_checkpoint(path, [Parameter(np.zeros(2), name="w")])
-        arrays, _ = ad.load_checkpoint(path)
-        with pytest.raises(CheckpointError, match="missing"):
-            ad.restore_parameters([Parameter(np.zeros(2), name="w"),
-                                   Parameter(np.zeros(2), name="extra")], arrays)
-        with pytest.raises(CheckpointError, match="unexpected"):
-            ad.restore_parameters([], arrays)

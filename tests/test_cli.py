@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import spantriplet
-from spantriplet import autodiff as ad
 from spantriplet import data as dataio
 from spantriplet.cli import build_parser, main
 from spantriplet.data import make_fixture
@@ -203,6 +202,18 @@ class TestEvalPredict:
         assert (prf.tp, prf.fp, prf.fn) == (reported["tp"], reported["fp"],
                                             reported["fn"])
 
+    def test_prediction_file_is_each_sentences_predict(self, trained, corpus_path, tmp_path):
+        pred_path = tmp_path / "pred.txt"
+        assert main(["predict", "--checkpoint", trained, "--test", corpus_path,
+                     "--out", str(pred_path)]) == 0
+        model = SpanModel.load(trained)
+        expected = "".join(
+            dataio.serialize_sentence(dataio.Sentence(s.id, s.tokens, [
+                dataio.GoldTriplet(p.target, p.opinion, p.sentiment)
+                for p in model.predict(s.tokens)])) + "\n"
+            for s in dataio.load_corpus(corpus_path))
+        assert pred_path.read_bytes() == expected.encode("utf-8")
+
     def test_empty_corpus_predicts_empty_file(self, trained, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
@@ -390,6 +401,25 @@ class TestUsage:
         assert "prune-sweep" in proc.stdout
 
 
+def tiny_checkpoint(tmp_path):
+    path = str(tmp_path / "model.ckpt.npz")
+    SpanModel(ModelConfig(**TINY_MODEL), Vocabulary.build([["the"]])).save(path)
+    return path
+
+
+def count_forwards(monkeypatch):
+    """A list that gets one entry per ``SpanModel.forward`` call from here on."""
+    calls = []
+    forward = SpanModel.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpanModel, "forward", counted)
+    return calls
+
+
 def error_lines(err):
     assert "Traceback" not in err
     return [line for line in err.splitlines() if line.startswith("error:")]
@@ -443,23 +473,37 @@ class TestBadInput:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "prune-sweep", "eval"])
-    def test_out_naming_a_file_exits_2(self, tmp_path, corpus_path, capsys, command):
+    def test_out_naming_a_file_exits_2(self, tmp_path, corpus_path, capsys, monkeypatch,
+                                       command):
         with open(corpus_path) as handle:
             before = handle.read()
+        forwards = count_forwards(monkeypatch)
         if command == "eval":
-            checkpoint = str(tmp_path / "model.ckpt.npz")
-            SpanModel(ModelConfig(**TINY_MODEL), Vocabulary.build([["the"]])).save(checkpoint)
-            argv = ["eval", "--checkpoint", checkpoint, "--test", corpus_path]
+            argv = ["eval", "--checkpoint", tiny_checkpoint(tmp_path), "--test", corpus_path]
         else:
             argv = [command, "--config", make_config(tmp_path, corpus_path),
                     "--train", corpus_path]
             if command == "prune-sweep":
                 argv += ["--z-values", "0.5"]
         assert main(argv + ["--out", corpus_path]) == 2
-        lines = error_lines(capsys.readouterr().err)
+        captured = capsys.readouterr()
+        lines = error_lines(captured.err)
         assert len(lines) == 1 and corpus_path in lines[0], lines
+        assert forwards == [] and captured.out == ""
         with open(corpus_path) as handle:
             assert handle.read() == before
+
+    def test_predict_into_a_missing_directory_exits_2_before_any_forward(
+            self, tmp_path, corpus_path, capsys, monkeypatch):
+        forwards = count_forwards(monkeypatch)
+        out = str(tmp_path / "missing_dir" / "p.txt")
+        assert main(["predict", "--checkpoint", tiny_checkpoint(tmp_path),
+                     "--test", corpus_path, "--out", out]) == 2
+        captured = capsys.readouterr()
+        lines = error_lines(captured.err)
+        assert len(lines) == 1 and out in lines[0], lines
+        assert forwards == [] and captured.out == ""
+        assert not (tmp_path / "missing_dir").exists()
 
     def test_stats_on_a_directory_exits_2(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path)]) == 2
@@ -481,8 +525,8 @@ class TestBadInput:
         config = ModelConfig(**TINY_MODEL)
         model = SpanModel(config, Vocabulary.build([["the"]]))
         path = str(tmp_path / "bad.ckpt.npz")
-        ad.save_checkpoint(path, model.parameters(),
-                           {"config": dict(asdict(config), **change), "vocab": model.vocab.tokens})
+        dataio.save_checkpoint(path, model.parameters(),
+                               {"config": dict(asdict(config), **change), "vocab": model.vocab.tokens})
         assert main(["eval", "--checkpoint", path, "--test", corpus_path]) == 2
         lines = error_lines(capsys.readouterr().err)
         assert len(lines) == 1 and path in lines[0] and next(iter(change)) in lines[0]

@@ -1,4 +1,6 @@
+import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,8 +10,16 @@ from hypothesis import strategies as st
 from spantriplet import data as dataio
 from spantriplet.data import (GoldTriplet, Sentence, dataset_stats, make_fixture,
                               parse_dataset_line, serialize_sentence)
-from spantriplet.encoder import span_width
-from spantriplet.errors import DataError, ParseError
+from spantriplet.autodiff import Parameter
+from spantriplet.encoder import Vocabulary, span_width
+from spantriplet.errors import CheckpointError, DataError, ParseError
+from spantriplet.model import ModelConfig, SpanModel
+
+
+def tiny_model():
+    config = ModelConfig(embedding_dim=6, lstm_hidden=4, ffnn_hidden=5, width_dim=3,
+                         distance_dim=3)
+    return SpanModel(config, Vocabulary.build([["the", "pizza", "is", "great"]]))
 
 
 class TestParse:
@@ -204,3 +214,72 @@ class TestFixture:
     def test_size_must_be_positive(self):
         with pytest.raises(DataError):
             make_fixture(np.random.default_rng(8), 0)
+
+
+class TestCheckpointIO:
+    def test_roundtrip_preserves_values(self, tmp_path):
+        rng = np.random.default_rng(3)
+        params = [Parameter(rng.normal(size=(3, 2)), name="w"),
+                  Parameter(rng.normal(size=5), name="b")]
+        path = str(tmp_path / "model.npz")
+        dataio.save_checkpoint(path, params, meta={"note": "x"})
+        arrays, meta = dataio.load_checkpoint(path)
+        assert meta == {"note": "x"}
+        fresh = [Parameter(np.zeros((3, 2)), name="w"),
+                 Parameter(np.zeros(5), name="b")]
+        dataio.restore_parameters(fresh, arrays)
+        for old, new in zip(params, fresh):
+            np.testing.assert_array_equal(old.data, new.data)
+
+    def test_shape_mismatch_names_parameter(self, tmp_path):
+        path = str(tmp_path / "model.npz")
+        dataio.save_checkpoint(path, [Parameter(np.zeros((3, 2)), name="w")])
+        arrays, _ = dataio.load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="'w'"):
+            dataio.restore_parameters([Parameter(np.zeros((2, 2)), name="w")], arrays)
+
+    def test_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(b"definitely not a checkpoint")
+        with pytest.raises(CheckpointError):
+            dataio.load_checkpoint(str(path))
+
+    def test_missing_and_unexpected_parameters(self, tmp_path):
+        path = str(tmp_path / "model.npz")
+        dataio.save_checkpoint(path, [Parameter(np.zeros(2), name="w")])
+        arrays, _ = dataio.load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="missing"):
+            dataio.restore_parameters([Parameter(np.zeros(2), name="w"),
+                                       Parameter(np.zeros(2), name="extra")], arrays)
+        with pytest.raises(CheckpointError, match="unexpected"):
+            dataio.restore_parameters([], arrays)
+
+    def test_hand_written_file_in_the_current_layout_loads(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "hand.ckpt.npz"
+        meta = {"config": asdict(model.config), "vocab": model.vocab.tokens}
+        arrays = {"param/" + p.name: p.data for p in model.parameters()}
+        np.savez(path, __format__=np.array("spantriplet-checkpoint-v1"),
+                 __meta__=np.array(json.dumps(meta)), **arrays)
+        loaded = SpanModel.load(str(path))
+        assert loaded.config == model.config and loaded.vocab.tokens == model.vocab.tokens
+        for old, new in zip(model.parameters(), loaded.parameters()):
+            assert old.name == new.name and old.data.tobytes() == new.data.tobytes()
+
+    def test_save_writes_exactly_the_current_layout(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "model.ckpt.npz"
+        model.save(str(path), extra_meta={"seed": 3})
+        with np.load(path, allow_pickle=False) as npz:
+            assert set(npz.files) == ({"__format__", "__meta__"}
+                                      | {"param/" + p.name for p in model.parameters()})
+            assert str(npz["__format__"][()]) == "spantriplet-checkpoint-v1"
+            meta = json.loads(str(npz["__meta__"][()]))
+        assert meta == {"config": asdict(model.config), "vocab": model.vocab.tokens,
+                        "seed": 3}
+
+    def test_save_into_a_missing_directory_is_a_data_error(self, tmp_path):
+        path = tmp_path / "absent" / "model.ckpt.npz"
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            dataio.save_checkpoint(str(path), [Parameter(np.zeros(2), name="w")])
+        assert list(tmp_path.rglob("*.tmp")) == []
