@@ -16,10 +16,10 @@ sentence is one op too, and so is each affine layer of a scorer. The
 relation scorer's layer 0 and the pair matrix it reads are one op,
 ``pair_linear``: its backward sums the output gradient over the pools
 before any GEMM, so no (pairs, 2D + dd) gradient is ever formed, and its
-forward builds the pair matrix a block of rows at a time in a buffer its
-weight keeps.
-A training step allocates little: weight gradients from GEMMs go through a
-product buffer each weight keeps, row gathers scatter their gradient into
+forward builds the pair matrix a block of rows at a time in its weight's
+scratch buffer.
+A training step allocates little: a weight's gradient GEMMs go through
+the one scratch buffer it keeps, row gathers scatter their gradient into
 the existing buffer, and AdamW updates in place, block by block.
 
 ``Tensor._accumulate`` is the one gradient gate: it drops the gradient of
@@ -41,8 +41,7 @@ from .errors import ConfigurationError, DimensionError, TrainingStateError
 class Tensor:
     """Dense n-dimensional value node of the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_product",
-                 "_rows")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_scratch")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -50,8 +49,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._product: np.ndarray | None = None
-        self._rows: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,37 +79,28 @@ class Tensor:
         else:
             self.grad += g
 
-    def _product_buffer(self) -> np.ndarray:
-        """A gradient-shaped scratch buffer kept for the next pass.
+    def _scratch_buffer(self, rows: int, cols: int) -> np.ndarray:
+        """A (rows, cols) view of the one buffer this tensor keeps, grown when too short.
 
-        Products are written here, never straight into ``grad``, which may
-        already hold gradient from another consumer.
+        Gradient products go here, never straight into ``grad``, which may
+        hold another consumer's gradient; ``pair_linear``'s forward builds
+        its pair-row blocks here, dead before its backward runs. A fresh
+        buffer of megabytes per call would make the allocator hand its
+        pages back and fault them in again on every sentence.
         """
-        if self._product is None:
-            self._product = np.empty_like(self.data)
-        return self._product
-
-    def _rows_buffer(self, rows: int) -> np.ndarray:
-        """A (rows, len(data)) scratch buffer for rows this weight multiplies.
-
-        It is kept, and grown when too short, for the next forward, so a
-        forward that fills it block by block allocates nothing: a fresh
-        buffer of megabytes per call makes the allocator hand its pages
-        back and fault them in again on every sentence.
-        """
-        size = rows * self.data.shape[0]
-        if self._rows is None or self._rows.size < size:
-            self._rows = np.empty(size)
-        return self._rows[:size].reshape(rows, self.data.shape[0])
+        size = rows * cols
+        if self._scratch is None or self._scratch.size < size:
+            self._scratch = np.empty(size)
+        return self._scratch[:size].reshape(rows, cols)
 
     def _accumulate_product(self, *factors: tuple[np.ndarray, np.ndarray]) -> None:
-        """Add the products ``a @ b`` of ``factors``, stacked by rows, through the product buffer.
+        """Add the products ``a @ b`` of ``factors``, stacked by rows, through the scratch buffer.
 
         Returns before any GEMM for a tensor without ``requires_grad``.
         """
         if not self.requires_grad:
             return
-        product = self._product_buffer()
+        product = self._scratch_buffer(*self.data.shape)
         start = 0
         for a, b in factors:
             np.matmul(a, b, out=product[start:start + a.shape[0]])
@@ -169,8 +158,6 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, data, name: str):
-        if isinstance(data, Tensor):
-            data = data.data
         super().__init__(data, requires_grad=True)
         self.name = name
 
@@ -208,7 +195,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine layer ``x @ w + b`` over (N, in) rows as one node.
 
     Backward sends ``g @ w.T`` to ``x``, ``x.T @ g`` to ``w`` through its
-    product buffer, and the column sums of ``g`` to ``b``.
+    scratch buffer, and the column sums of ``g`` to ``b``.
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear: (N, in) rows, (in, out) weight and (out,) bias "
@@ -311,8 +298,8 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
     ``[reps[targets[a]]; reps[opinions[b]]; table[buckets[a * ko + b]]]``;
     without a table the last block is absent and ``buckets`` must be None.
     ``x`` never exists whole. The forward writes it a block of whole target
-    groups at a time, about ``PAIR_BLOCK_ROWS`` rows, into one scratch
-    buffer that ``w`` keeps, and runs that block's GEMM into its rows of
+    groups at a time, about ``PAIR_BLOCK_ROWS`` rows, into the scratch
+    buffer ``w`` keeps, and runs that block's GEMM into its rows of
     the output. The blocks hold equal target counts, give or take one, so
     none is a 1- or 2-row product unless the whole matrix is: BLAS rounds
     those through other kernels. Every row then has the bits of ``linear``
@@ -354,7 +341,7 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
     per_block = max(1, PAIR_BLOCK_ROWS // max(ko, 1))
     blocks = max(1, math.ceil(kt / per_block))
     bounds = [i * kt // blocks for i in range(blocks + 1)]
-    scratch = w._rows_buffer(math.ceil(kt / blocks) * ko)
+    scratch = w._scratch_buffer(math.ceil(kt / blocks) * ko, width)
     opinion_rows = reps.data[o_idx]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         x = scratch[:(stop - start) * ko]
@@ -598,7 +585,7 @@ def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
 # Initialization
 # ---------------------------------------------------------------------------
 
-def xavier_init(shape: Sequence[int], rng: np.random.Generator) -> Tensor:
+def xavier_init(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     """Normal init with variance 2 / (fan_in + fan_out) for 2-D weights."""
     shape = tuple(int(s) for s in shape)
     if len(shape) != 2:
@@ -606,7 +593,7 @@ def xavier_init(shape: Sequence[int], rng: np.random.Generator) -> Tensor:
     if min(shape) <= 0:
         raise DimensionError(f"xavier_init: zero-size shape {shape}")
     std = np.sqrt(2.0 / (shape[0] + shape[1]))
-    return Tensor(rng.normal(0.0, std, size=shape))
+    return rng.normal(0.0, std, size=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +619,8 @@ class FeedForward:
 
     @classmethod
     def create(cls, name: str, in_dim: int, out_dim: int, *,
-               hidden_dim: int = 150, hidden_layers: int = 2,
-               dropout_p: float = 0.4, rng: np.random.Generator) -> "FeedForward":
+               hidden_dim: int, hidden_layers: int, dropout_p: float,
+               rng: np.random.Generator) -> "FeedForward":
         dims = [in_dim] + [hidden_dim] * hidden_layers + [out_dim]
         weights, biases = [], []
         for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
@@ -673,15 +660,14 @@ class AdamW:
     """
 
     BLOCK = 16384
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 weight_decay: float = 0.0, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8):
+                 weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
@@ -701,7 +687,7 @@ class AdamW:
                     f"parameter {p.name} has no gradient; run backward (after zero_grad) first"
                 )
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = self.BETAS
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         for p, m_all, v_all in zip(self.params, self.first_moment, self.second_moment):
@@ -721,7 +707,7 @@ class AdamW:
                 v += t
                 np.divide(v, bias2, out=t)
                 np.sqrt(t, out=t)
-                t += self.eps
+                t += self.EPS
                 np.divide(m, bias1, out=u)
                 u /= t
                 if self.weight_decay:

@@ -275,6 +275,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.out:
+        dataio.output_directory(args.out)  # a missing directory fails before any output
     stats = {}
     for path in args.corpora:
         stats[os.path.basename(path)] = dataio.dataset_stats(dataio.load_corpus(path))

@@ -21,6 +21,7 @@ import ast
 import json
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Sequence
 
@@ -219,7 +220,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
                 name[len("param/"):]: npz[name]
                 for name in names if name.startswith("param/")
             }
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
     return arrays, meta
 

@@ -80,11 +80,9 @@ class Vocabulary:
 
     @classmethod
     def build(cls, sentences: Iterable[Sequence[str]]) -> "Vocabulary":
-        seen: dict[str, None] = {}
-        for tokens in sentences:
-            for tok in tokens:
-                seen.setdefault(tok.lower(), None)
-        return cls([UNK_TOKEN] + sorted(seen))
+        seen = {tok.lower() for tokens in sentences for tok in tokens}
+        # A corpus token that lowercases to UNK_TOKEN maps to the unknown row.
+        return cls([UNK_TOKEN] + sorted(seen - {UNK_TOKEN}))
 
 
 def read_lines(path: str) -> Iterator[tuple[int, str]]:

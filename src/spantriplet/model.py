@@ -199,8 +199,8 @@ class SpanModel:
 
         ``pools`` optionally pins the candidate pools to fixed enumeration
         indices, bypassing score-based pruning; gradient checks use it to
-        hold the selection constant. An index may repeat but must lie in
-        ``range(len(spans))``.
+        hold the selection constant. Each pool's indices must be distinct
+        and lie in ``range(len(spans))``, so every scored pair is distinct.
         """
         if training and rng is None:
             raise TrainingStateError("training-mode forward needs a seeded generator")
@@ -224,10 +224,13 @@ class SpanModel:
             for i, (span, probs) in enumerate(zip(spans, mention_probs.tolist()))
         ]
         if pools is not None:
-            for i in (*pools[0], *pools[1]):
-                if not 0 <= i < len(candidates):
-                    raise IndexError(f"pinned pool index {i} is outside the enumeration "
-                                     f"of {len(candidates)} spans")
+            for pool in pools:
+                for i in pool:
+                    if not 0 <= i < len(candidates):
+                        raise IndexError(f"pinned pool index {i} is outside the enumeration "
+                                         f"of {len(candidates)} spans")
+                if len(set(pool)) != len(pool):
+                    raise IndexError(f"pinned pool {list(pool)} repeats an index")
             target_pool = [candidates[i] for i in pools[0]]
             opinion_pool = [candidates[i] for i in pools[1]]
         elif config.channel_mode == "dual":

@@ -58,9 +58,9 @@ def decode_triplets(pairs: list[tuple[Span, Span]],
                     relation_probs: np.ndarray) -> list[TripletPrediction]:
     """Keep pairs whose argmax relation is a sentiment class.
 
-    Duplicate (target, opinion) pairs keep the higher-probability decode;
-    output is ordered by (target, opinion) span positions. The result does
-    not depend on the order in which pairs were scored.
+    The (target, opinion) pairs must be distinct, as the model's pools make
+    them. The output is ordered by (target, opinion) span positions, so it
+    does not depend on the order in which pairs were scored.
     """
     if len(pairs) != relation_probs.shape[0]:
         raise ValueError(
@@ -68,12 +68,9 @@ def decode_triplets(pairs: list[tuple[Span, Span]],
         )
     labels = relation_probs.argmax(axis=1)  # first max wins ties, per RELATION_CLASSES order
     kept = np.flatnonzero(labels != RELATION_INVALID)
-    best: dict[tuple[Span, Span], TripletPrediction] = {}
-    for p, label, probability in zip(kept.tolist(), labels[kept].tolist(),
-                                     relation_probs[kept, labels[kept]].tolist()):
-        target, opinion = pairs[p]
-        held = best.get((target, opinion))
-        if held is None or probability > held.probability:
-            best[target, opinion] = TripletPrediction(target, opinion, SENTIMENT_TAGS[label],
-                                                      probability)
-    return [best[key] for key in sorted(best)]
+    predictions = [
+        TripletPrediction(*pairs[p], SENTIMENT_TAGS[label], probability)
+        for p, label, probability in zip(kept.tolist(), labels[kept].tolist(),
+                                         relation_probs[kept, labels[kept]].tolist())
+    ]
+    return sorted(predictions, key=lambda pred: (pred.target, pred.opinion))

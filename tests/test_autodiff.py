@@ -496,6 +496,24 @@ class TestPairLinear:
         # The weight keeps the block buffer, so a second forward allocates none.
         assert second < block, (second, block)
 
+    @pytest.mark.parametrize("ffnn_hidden", [4, 300], ids=["rows_larger", "weight_larger"])
+    def test_training_keeps_one_weight_buffer_for_rows_and_gradient(self, ffnn_hidden):
+        # Relation layer 0's weight builds its pair rows and its gradient
+        # product in the same buffer, sized for the larger of the two.
+        fixture = make_fixture(np.random.default_rng(30), 1)
+        model = SpanModel(ModelConfig(embedding_dim=4, lstm_hidden=3, ffnn_hidden=ffnn_hidden,
+                                      width_dim=2, distance_dim=3),
+                          Vocabulary.build(s.tokens for s in fixture), seed=0)
+        optimizer = make_optimizer(model, TrainConfig())
+        w = model.relation_ffnn.weights[0]
+        train_epoch(model, fixture, optimizer, np.random.default_rng(31))
+        pairs = len(model.forward(fixture[0].tokens).pairs)
+        assert 4 < pairs <= min(300, ad.PAIR_BLOCK_ROWS)  # one block holds every pair row
+        kept = w._scratch
+        assert kept.shape == (max(pairs, ffnn_hidden) * w.shape[0],)
+        train_epoch(model, fixture, optimizer, np.random.default_rng(32))
+        assert w._scratch is kept
+
     def test_out_of_range_indices(self):
         reps, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 1)))
         w, b = Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))
@@ -625,22 +643,30 @@ class TestBackwardContract:
 
     @pytest.mark.parametrize("op", sorted(MULTI_PARENT_OPS))
     def test_constant_input_of_a_multi_parent_op_gets_no_grad_buffer(self, op):
-        # Each input in turn is a constant: it gets neither a gradient nor a
-        # product buffer, and the other inputs' gradients keep the bits they
-        # have when that input is a Parameter too.
+        # Each input in turn is a constant: it gets no gradient, its backward
+        # neither allocates nor writes its scratch buffer (a constant relation
+        # weight keeps its forward's), and the other inputs' gradients keep
+        # the bits they have when that input is a Parameter too.
         build, arrays = MULTI_PARENT_OPS[op]
         seed = np.random.default_rng(42).normal(size=build(*map(Tensor, arrays)).shape)
 
         def backward(constant):
             inputs = [Tensor(a) if i == constant else Parameter(a, name=f"p{i}")
                       for i, a in enumerate(arrays)]
-            build(*inputs).backward(seed=seed)
+            out = build(*inputs)
+            if constant is not None:
+                scratch = inputs[constant]._scratch
+                kept = None if scratch is None else scratch.tobytes()
+            out.backward(seed=seed)
+            if constant is not None:
+                assert inputs[constant]._scratch is scratch
+                assert kept == (None if scratch is None else scratch.tobytes())
             return inputs
 
         every_grad = [t.grad for t in backward(None)]
         for constant in range(len(arrays)):
             inputs = backward(constant)
-            assert inputs[constant].grad is None and inputs[constant]._product is None
+            assert inputs[constant].grad is None
             for i, (t, reference) in enumerate(zip(inputs, every_grad)):
                 if i != constant:
                     assert t.grad.tobytes() == reference.tobytes(), (constant, i)
@@ -833,12 +859,12 @@ class TestXavierInit:
     def test_same_seed_is_identical(self):
         a = ad.xavier_init((20, 30), np.random.default_rng(1))
         b = ad.xavier_init((20, 30), np.random.default_rng(1))
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_sampled_variance(self):
-        t = ad.xavier_init((1000, 1000), np.random.default_rng(2))
+        w = ad.xavier_init((1000, 1000), np.random.default_rng(2))
         target = 2.0 / 2000.0
-        assert abs(t.data.var() - target) < 0.1 * target
+        assert abs(w.var() - target) < 0.1 * target
 
     def test_degenerate_shape(self):
         with pytest.raises(DimensionError):

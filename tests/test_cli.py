@@ -76,6 +76,13 @@ class TestStats:
     def test_missing_file_exits_2(self, capsys):
         assert main(["stats", "/nonexistent/corpus.txt"]) == 2
 
+    def test_missing_out_directory_exits_2_before_any_output(self, corpus_path, tmp_path,
+                                                              capsys):
+        out = str(tmp_path / "missing_dir" / "s.json")
+        assert main(["stats", corpus_path, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and out in captured.err
+
 
 class TestTrain:
     def test_missing_train_path_is_usage_error(self, tmp_path, capsys):
@@ -110,6 +117,13 @@ class TestTrain:
         assert proc.returncode == 0, proc.stderr
         assert "seed 0 epoch 1: loss" in proc.stderr
         assert "seed 0 epoch" not in proc.stdout
+
+    def test_corpus_with_the_unk_token_trains(self, tmp_path):
+        corpus = tmp_path / "unk.txt"
+        corpus.write_text("the <unk> is great .####[([1], [3], 'POS')]\n"
+                          "an <UNK> was bad .####[([1], [3], 'NEG')]\n")
+        assert main(["train", "--config", make_config(tmp_path, str(corpus)),
+                     "--train", str(corpus), "--out", str(tmp_path / "run")]) == 0
 
     def test_rerun_from_echoed_config_reproduces_report(self, config_path, tmp_path):
         assert main(["train", "--config", config_path]) == 0

@@ -11,6 +11,7 @@ from spantriplet import data as dataio
 from spantriplet.data import (GoldTriplet, Sentence, dataset_stats, make_fixture,
                               parse_dataset_line, serialize_sentence)
 from spantriplet.autodiff import Parameter
+from spantriplet.cli import main
 from spantriplet.encoder import Vocabulary, span_width
 from spantriplet.errors import CheckpointError, DataError, ParseError
 from spantriplet.model import ModelConfig, SpanModel
@@ -238,11 +239,28 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="'w'"):
             dataio.restore_parameters([Parameter(np.zeros((2, 2)), name="w")], arrays)
 
-    def test_not_a_checkpoint(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"definitely not a checkpoint")
-        with pytest.raises(CheckpointError):
-            dataio.load_checkpoint(str(path))
+    @pytest.mark.parametrize("damage", [
+        lambda raw: b"definitely not a checkpoint",
+        lambda raw: raw[:-100],
+        lambda raw: raw[:len(raw) // 2],
+        lambda raw: b"PK\x03\x04" + bytes(len(raw)),
+        lambda raw: b"",
+    ], ids=["junk", "cut_100_bytes", "cut_to_half", "zip_header_then_zeros", "empty"])
+    def test_not_a_checkpoint(self, tmp_path, capsys, damage):
+        good = tmp_path / "good.ckpt.npz"
+        tiny_model().save(str(good))
+        path = str(tmp_path / "damaged.ckpt.npz")
+        with open(path, "wb") as handle:
+            handle.write(damage(good.read_bytes()))
+        with pytest.raises(CheckpointError, match=re.escape(path)):
+            dataio.load_checkpoint(path)
+        corpus = str(tmp_path / "corpus.txt")
+        dataio.write_corpus(corpus, make_fixture(np.random.default_rng(0), 2))
+        for argv in (["eval"], ["predict", "--out", str(tmp_path / "p.txt")]):
+            assert main(argv + ["--checkpoint", path, "--test", corpus]) == 2
+            err = capsys.readouterr().err
+            lines = [line for line in err.splitlines() if line.startswith("error:")]
+            assert "Traceback" not in err and len(lines) == 1 and path in lines[0], err
 
     def test_missing_and_unexpected_parameters(self, tmp_path):
         path = str(tmp_path / "model.npz")

@@ -23,6 +23,11 @@ class TestVocabulary:
         vocab = enc.Vocabulary.build([["a", "b"], ["b", "c"]])
         assert sorted(vocab.index.values()) == list(range(len(vocab)))
 
+    def test_corpus_unk_token_is_the_unknown_row(self):
+        vocab = enc.Vocabulary.build([["the", "<UNK>", "x"]])
+        assert len(vocab) == 3
+        assert vocab.lookup("<UNK>") == vocab.lookup(enc.UNK_TOKEN) == vocab.unk_index == 0
+
 
 class TestEmbeddingFile:
     def test_loads_good_file(self, tmp_path):

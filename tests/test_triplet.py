@@ -100,7 +100,7 @@ class TestPairRepresentation:
         assert_pairs_match_per_pair_path(model, tokens)
 
     @pytest.mark.parametrize("channel_mode,pools", [("dual", None), ("single", None),
-                                                    ("dual", ([4, 0, 4], [2, 7]))])
+                                                    ("dual", ([4, 0, 1], [2, 7]))])
     def test_pairs_are_target_major(self, channel_mode, pools):
         model, tokens = tiny_model(channel_mode=channel_mode)
         out = model.forward(tokens, pools=pools)
@@ -116,6 +116,13 @@ class TestPairRepresentation:
         model, tokens = tiny_model()
         size = len(model.forward(tokens).spans)
         with pytest.raises(IndexError, match=f"enumeration of {size} spans"):
+            model.forward(tokens, pools=pools)
+
+    @pytest.mark.parametrize("pools", [([4, 0, 4], [2, 7]), ([1], [3, 3])],
+                             ids=["target", "opinion"])
+    def test_repeated_pinned_index_is_rejected(self, pools):
+        model, tokens = tiny_model()
+        with pytest.raises(IndexError, match="repeats an index"):
             model.forward(tokens, pools=pools)
 
     def test_model_relation_probabilities_sum_to_one(self):
@@ -246,12 +253,6 @@ class TestDecodeTriplets:
         assert (tr.decode_triplets(pair, base)[0].sentiment
                 == tr.decode_triplets(pair, shifted)[0].sentiment)
 
-    def test_duplicate_pairs_keep_higher_probability(self):
-        pair = ((0, 0), (1, 1))
-        probs = np.stack([probs_for(0, 0.6), probs_for(1, 0.8)])
-        out = tr.decode_triplets([pair, pair], probs)
-        assert out == [tr.TripletPrediction(pair[0], pair[1], "NEG", 0.8)]
-
     def test_argmax_tie_breaks_by_fixed_class_order(self):
         pair = [((0, 0), (1, 1))]
         probs = np.array([[0.3, 0.3, 0.2, 0.2]])
@@ -260,15 +261,15 @@ class TestDecodeTriplets:
         assert tr.decode_triplets(pair, probs)[0].sentiment == "NEG"
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_row_loop_with_ties_and_duplicates(self, seed):
+    def test_matches_row_loop_with_ties(self, seed):
         rng = np.random.default_rng(seed)
-        spans = [(0, 0), (1, 2), (3, 3), (4, 6)]
-        pairs = [(spans[rng.integers(4)], spans[rng.integers(4)]) for _ in range(60)]
+        spans = [(i, i + w) for i in range(8) for w in range(2)]
+        every_pair = [(t, o) for t in spans for o in spans]
+        pairs = [every_pair[i] for i in rng.choice(len(every_pair), size=60, replace=False)]
         # Probabilities from a few levels force exact ties within and across rows.
         raw = rng.choice([0.1, 0.2, 0.3], size=(60, 4))
         probs = raw / raw.sum(axis=1, keepdims=True)
         assert tr.decode_triplets(pairs, probs) == reference_decode(pairs, probs)
-        assert len(set(pairs)) < len(pairs)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
