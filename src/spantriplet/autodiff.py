@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, TrainingStateError
+from .errors import DimensionError, TrainingStateError
 
 
 class Tensor:
@@ -375,9 +375,6 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
     return _make(data, parents, backward)
 
 
-POOL_MODES = ("max", "mean")
-
-
 def span_pool(h: Tensor, starts: Sequence[int], ends: Sequence[int], mode: str) -> Tensor:
     """Elementwise max or mean over rows ``starts[s]..ends[s]`` (inclusive) of (n, D) ``h``.
 
@@ -388,11 +385,11 @@ def span_pool(h: Tensor, starts: Sequence[int], ends: Sequence[int], mode: str) 
     the sum's bits unchanged (numpy sums from +0.0). Backward sends each max entry's gradient
     to its first argmax row and spreads the mean's gradient as g / width over
     the span's rows, summed in span order into one zeros buffer for ``h``.
+    Any ``mode`` but "max" means the mean: the one caller maps the span mode,
+    which ``ModelConfig`` checks, to one of the two.
     """
     starts = np.asarray(starts, dtype=np.intp)
     ends = np.asarray(ends, dtype=np.intp)
-    if mode not in POOL_MODES:
-        raise ConfigurationError(f"span_pool: mode must be one of {POOL_MODES}, got {mode!r}")
     if h.ndim != 2 or starts.ndim != 1 or starts.shape != ends.shape:
         raise DimensionError(f"span_pool: needs (n, D) rows and equal-length 1-D bounds, "
                              f"got {h.shape}, {starts.shape} and {ends.shape}")
@@ -524,9 +521,10 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
             training: bool) -> Tensor:
-    """Inverted dropout: scaled at train time, identity at inference."""
-    if not 0.0 <= p < 1.0:
-        raise DimensionError(f"dropout probability must be in [0, 1), got {p}")
+    """Inverted dropout: scaled at train time, identity at inference.
+
+    ``p`` is in [0, 1), as ``ModelConfig`` checks for both dropout rates.
+    """
     if not training or p == 0.0:
         return x
     if rng is None:
@@ -586,12 +584,7 @@ def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def xavier_init(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Normal init with variance 2 / (fan_in + fan_out) for 2-D weights."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != 2:
-        raise DimensionError(f"xavier_init needs a 2-D shape, got {shape}")
-    if min(shape) <= 0:
-        raise DimensionError(f"xavier_init: zero-size shape {shape}")
+    """Normal init with variance 2 / (fan_in + fan_out) for a 2-D shape of sizes >= 1."""
     std = np.sqrt(2.0 / (shape[0] + shape[1]))
     return rng.normal(0.0, std, size=shape)
 

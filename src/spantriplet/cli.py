@@ -25,15 +25,14 @@ from . import evaluation as evalmod
 from . import training
 from .data import atomic_write_text
 from .encoder import SPAN_MODES, load_embedding_file
-from .errors import (CheckpointError, ConfigurationError, DataError,
-                     NumericalError, UsageError)
+from .errors import ConfigurationError, DataError, NumericalError
 from .model import ModelConfig, SpanModel, config_from_dict
 from .pruning import CHANNEL_MODES
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map usage errors to 1
-        raise UsageError(message)
+        raise ConfigurationError(message)
 
 
 def build_parser() -> _Parser:
@@ -112,16 +111,17 @@ def _load_config_file(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-        raise UsageError(f"cannot read config file {path}: {exc}")
+        raise ConfigurationError(f"cannot read config file {path}: {exc}")
     if not isinstance(raw, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
     return raw
 
 
 def _reject_unread(keys, read: tuple[str, ...], where: str, command: str) -> None:
     unread = sorted(set(keys) - set(read))
     if unread:
-        raise UsageError(f"{command} does not read {where} {unread}; it reads {list(read)}")
+        raise ConfigurationError(
+            f"{command} does not read {where} {unread}; it reads {list(read)}")
 
 
 def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
@@ -145,8 +145,8 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
     if command == "prune-sweep":
         swept = sorted(set(model_cfg) & set(_SWEPT_FIELDS))
         if swept:
-            raise UsageError(f"prune-sweep sets model {swept} from --z-values and "
-                             "--sweep-modes; remove them from the config file")
+            raise ConfigurationError(f"prune-sweep sets model {swept} from --z-values and "
+                                     "--sweep-modes; remove them from the config file")
         train_cfg.setdefault("seeds", [0])
 
     for key in _PATH_KEYS[command]:
@@ -179,7 +179,7 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
 def _require(paths: dict, key: str, flag: str) -> str:
     value = paths.get(key)
     if not value:
-        raise UsageError(f"missing required path: {flag}")
+        raise ConfigurationError(f"missing required path: {flag}")
     return value
 
 
@@ -326,10 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigurationError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, CheckpointError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -150,7 +150,12 @@ def find_benchmark_split(roots: Iterable[str], dataset: str, split: str) -> str 
 
 
 def output_directory(path: str) -> str:
-    """The directory a file at ``path`` goes into; a DataError naming ``path`` if it is absent."""
+    """The directory a file at ``path`` goes into.
+
+    A DataError naming ``path`` if that directory is absent or ``path`` is a directory itself.
+    """
+    if os.path.isdir(path):
+        raise DataError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise DataError(f"cannot write {path}: no directory {directory}")

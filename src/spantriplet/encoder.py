@@ -46,17 +46,17 @@ def bucket_index(value: int) -> int:
     ``bisect_left`` is numpy's ``searchsorted`` rule without the array
     round trip, which costs more than ten times as much per scalar.
     """
-    if value < 0:
-        raise DataError(f"bucketed values must be non-negative, got {value}")
     return bisect.bisect_left(_BUCKET_UPPER, value)
 
 
 def enumerate_spans(n: int, max_gap: int) -> list[Span]:
-    """All spans (i, j) with 0 <= i <= j < n and j - i <= max_gap, ordered by (i, j)."""
+    """All spans (i, j) with 0 <= i <= j < n and j - i <= max_gap, ordered by (i, j).
+
+    This is the pipeline's one empty-sentence check: ``SpanModel.forward``
+    calls it before any layer runs.
+    """
     if n < 1:
         raise DataError(f"sentence length must be >= 1, got {n}")
-    if max_gap < 0:
-        raise DataError(f"span gap limit must be >= 0, got {max_gap}")
     return [(i, j) for i in range(n) for j in range(i, min(i + max_gap, n - 1) + 1)]
 
 
@@ -152,8 +152,6 @@ def build_embedding_table(vocab: Vocabulary, dim: int, rng: np.random.Generator,
 
 def embed_tokens(tokens: Sequence[str], vocab: Vocabulary, table: Parameter) -> Tensor:
     """Row-per-token embedding lookup; unknown tokens map to the unk row."""
-    if not tokens:
-        raise DataError("cannot embed an empty sentence")
     return ad.rows(table, [vocab.lookup(t) for t in tokens])
 
 
@@ -205,8 +203,6 @@ def bilstm_forward(embeddings: Tensor, params: BiLstmParams) -> Tensor:
     Both directions start from zero states and use the standard LSTM cell
     recurrence; each direction is one fused ``ad.lstm`` node.
     """
-    if embeddings.ndim != 2 or embeddings.shape[0] < 1:
-        raise DimensionError(f"bilstm expects a (n, E) matrix with n >= 1, got {embeddings.shape}")
     fw, bw = params.forward, params.backward
     return ad.concat([ad.lstm(embeddings, fw.w_ih, fw.w_hh, fw.bias),
                       ad.lstm(embeddings, bw.w_ih, bw.w_hh, bw.bias, reverse=True)],
@@ -227,14 +223,12 @@ def span_representation_matrix(h: Tensor, spans: Sequence[Span], mode: str,
     boundary mode concatenates the start and end rows; the pooling modes
     replace that pair with an elementwise max/mean over the span's rows,
     one ``ad.span_pool`` node for all spans. The bucketed width embedding is
-    appended unless ``width_table`` is None.
+    appended unless ``width_table`` is None. ``mode`` is one of
+    ``SPAN_MODES``, as ``ModelConfig`` checks, and the spans come from
+    ``enumerate_spans``, so each has start <= end.
     """
-    if mode not in SPAN_MODES:
-        raise DataError(f"unknown span mode {mode!r}; expected one of {SPAN_MODES}")
     bounds = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
     starts, ends = bounds[:, 0], bounds[:, 1]
-    if (ends < starts).any():
-        raise IndexError(f"spans must have start <= end: {spans}")
     if mode == "boundary":
         parts = [ad.rows(h, starts), ad.rows(h, ends)]
     else:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: UsageError and ConfigurationError -> 1,
-DataError (ParseError too) and CheckpointError -> 2, NumericalError -> 3.
-Everything else is a plain bug.
+The CLI maps one class onto each exit code: ConfigurationError -> 1,
+DataError (with its subclasses ParseError and CheckpointError) -> 2,
+NumericalError -> 3. Everything else is a plain bug.
 """
 
 
@@ -19,11 +19,7 @@ class TrainingStateError(SpanTripletError, RuntimeError):
 
 
 class ConfigurationError(SpanTripletError, ValueError):
-    """A component was built or called with inconsistent settings."""
-
-
-class UsageError(SpanTripletError, ValueError):
-    """Invalid command-line arguments or run configuration."""
+    """Invalid command-line arguments, config file or settings."""
 
 
 class DataError(SpanTripletError, ValueError):
@@ -42,7 +38,7 @@ class ParseError(DataError):
         self.column = column
 
 
-class CheckpointError(SpanTripletError, ValueError):
+class CheckpointError(DataError):
     """A checkpoint file is missing, mislabeled, or shape-incompatible."""
 
 

@@ -21,7 +21,7 @@ from . import pruning
 from .autodiff import FeedForward, Parameter, Tensor
 from .data import load_checkpoint, restore_parameters, save_checkpoint
 from .encoder import Span, Vocabulary
-from .errors import CheckpointError, ConfigurationError, TrainingStateError
+from .errors import CheckpointError, ConfigurationError
 from .pruning import SpanCandidate
 from .triplet import RELATION_CLASSES, TripletPrediction, decode_triplets, pair_distance_buckets
 
@@ -201,9 +201,9 @@ class SpanModel:
         indices, bypassing score-based pruning; gradient checks use it to
         hold the selection constant. Each pool's indices must be distinct
         and lie in ``range(len(spans))``, so every scored pair is distinct.
+        A training forward needs ``rng`` when a dropout rate is above 0;
+        ``ad.dropout`` raises a TrainingStateError without it.
         """
-        if training and rng is None:
-            raise TrainingStateError("training-mode forward needs a seeded generator")
         tokens = list(tokens)
         config = self.config
         n = len(tokens)

@@ -5,6 +5,10 @@ by the target probability, one by the opinion probability. The
 single-channel baseline ranks one shared pool by a 2-class validity
 score. Selection is a hard operation on detached probabilities, so
 relation-loss gradients never reach the mention scorer.
+
+``ModelConfig`` checks ``z`` and picks the prune function from the same
+``channel_mode`` that sizes the scorer's classes, and ``enumerate_spans``
+rejects an empty sentence, so the functions here take those as given.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .encoder import Span
-from .errors import ConfigurationError, DataError
 
 # Class orders fix the logit layout of the mention scorer.
 MENTION_CLASSES = ("target", "opinion", "invalid")
@@ -36,8 +39,6 @@ class SpanCandidate:
 
 def pool_size(n: int, z: float, n_candidates: int) -> int:
     """k = min(ceil(n * z), number of candidates); ceil keeps k >= 1."""
-    if not 0 < z < math.inf:
-        raise ConfigurationError(f"pruning threshold z must be positive and finite, got {z}")
     return min(math.ceil(n * z), n_candidates)
 
 
@@ -47,26 +48,15 @@ def _top_k(candidates: list[SpanCandidate], key_index: int, k: int) -> list[Span
     return ranked[:k]
 
 
-def _checked_pool_size(candidates: list[SpanCandidate], n: int, z: float, channel: str,
-                       classes: tuple[str, ...]) -> int:
-    """``pool_size`` for a non-empty candidate list scored over ``classes``."""
-    if not candidates:
-        raise DataError("cannot prune an empty candidate list")
-    if len(candidates[0].probs) != len(classes):
-        raise ConfigurationError(f"{channel}-channel pruning needs {len(classes)}-class mention "
-                                 f"scores, got {len(candidates[0].probs)} classes")
-    return pool_size(n, z, len(candidates))
-
-
 def prune_dual_channel(candidates: list[SpanCandidate], n: int,
                        z: float) -> tuple[list[SpanCandidate], list[SpanCandidate]]:
     """Top-k pools by target and by opinion probability (pools may overlap)."""
-    k = _checked_pool_size(candidates, n, z, "dual", MENTION_CLASSES)
+    k = pool_size(n, z, len(candidates))
     return _top_k(candidates, MENTION_TARGET, k), _top_k(candidates, MENTION_OPINION, k)
 
 
 def prune_single_channel(candidates: list[SpanCandidate], n: int,
                          z: float) -> list[SpanCandidate]:
     """One shared pool ranked by the validity probability of a 2-class scorer."""
-    k = _checked_pool_size(candidates, n, z, "single", SINGLE_CHANNEL_CLASSES)
+    k = pool_size(n, z, len(candidates))
     return _top_k(candidates, SINGLE_VALID, k)

@@ -519,6 +519,23 @@ class TestBadInput:
         assert forwards == [] and captured.out == ""
         assert not (tmp_path / "missing_dir").exists()
 
+    @pytest.mark.parametrize("command", ["stats", "predict"])
+    def test_out_naming_a_directory_exits_2_before_any_output(self, tmp_path, corpus_path,
+                                                              capsys, monkeypatch, command):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        forwards = count_forwards(monkeypatch)
+        if command == "stats":
+            argv = ["stats", corpus_path]
+        else:
+            argv = ["predict", "--checkpoint", tiny_checkpoint(tmp_path), "--test", corpus_path]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = error_lines(captured.err)
+        assert len(lines) == 1 and str(out) in lines[0], lines
+        assert forwards == [] and captured.out == ""
+        assert list(out.iterdir()) == []
+
     def test_stats_on_a_directory_exits_2(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path)]) == 2
         lines = error_lines(capsys.readouterr().err)

@@ -7,7 +7,6 @@ from spantriplet import pruning
 from spantriplet.autodiff import softmax_probabilities
 from spantriplet.data import make_fixture
 from spantriplet.encoder import Vocabulary, enumerate_spans
-from spantriplet.errors import ConfigurationError, DataError
 from spantriplet.model import ModelConfig, SpanModel
 from spantriplet.pruning import MENTION_OPINION, MENTION_TARGET, SpanCandidate
 from spantriplet.training import compute_loss, make_optimizer, TrainConfig
@@ -105,20 +104,6 @@ class TestDualChannelPruning:
         targets, opinions = pruning.prune_dual_channel(candidates, 2, 0.5)
         assert targets[0] is candidates[0] and opinions[0] is candidates[0]
 
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(DataError):
-            pruning.prune_dual_channel([], 3, 0.5)
-
-    def test_two_class_candidates_rejected(self):
-        candidates = [SpanCandidate((0, 0), 0, (0.5, 0.5))]
-        with pytest.raises(ConfigurationError):
-            pruning.prune_dual_channel(candidates, 1, 0.5)
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf")])
-    def test_z_outside_zero_to_infinity_rejected(self, z):
-        with pytest.raises(ConfigurationError, match="z"):
-            pruning.pool_size(10, z, 5)
-
 
 class TestSingleChannelPruning:
     def test_pair_count_is_k_squared(self):
@@ -140,11 +125,6 @@ class TestSingleChannelPruning:
         candidates = make_candidates(rng, 1, n_classes=2)
         pool = pruning.prune_single_channel(candidates, 1, 0.5)
         assert len(pool) == 1
-
-    def test_three_class_candidates_rejected(self):
-        candidates = [SpanCandidate((0, 0), 0, (0.2, 0.3, 0.5))]
-        with pytest.raises(ConfigurationError):
-            pruning.prune_single_channel(candidates, 1, 0.5)
 
     def test_adjusted_single_channel_covers_dual_pool_sizes(self):
         # Single channel at 2z keeps at least as many distinct spans per

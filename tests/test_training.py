@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from spantriplet import autodiff as ad
 from spantriplet import training
 from spantriplet.data import GoldTriplet, Sentence, make_fixture
 from spantriplet.encoder import Vocabulary, enumerate_spans
-from spantriplet.errors import ConfigurationError, DataError, NumericalError
+from spantriplet.errors import (ConfigurationError, DataError, NumericalError,
+                               TrainingStateError)
 from spantriplet.model import ModelConfig, SpanModel
 from spantriplet.pruning import (MENTION_INVALID, MENTION_OPINION, MENTION_TARGET,
                                  SINGLE_INVALID, SINGLE_VALID, SpanCandidate)
@@ -258,6 +260,21 @@ class TestTrainEpoch:
             assert np.isfinite(out.relation_logits.data).all()
             for p in model.parameters():
                 assert np.isfinite(p.data).all() and np.isfinite(p.grad).all(), p.name
+
+    @pytest.mark.parametrize("lstm_dropout,ffnn_dropout", [(0.3, 0.0), (0.0, 0.2)])
+    def test_training_forward_with_dropout_needs_a_generator(self, lstm_dropout, ffnn_dropout):
+        fixture = make_fixture(np.random.default_rng(14), 2)
+        config = replace(TEST_CONFIG, lstm_dropout=lstm_dropout, ffnn_dropout=ffnn_dropout)
+        model = tiny_model(fixture, config=config)
+        with pytest.raises(TrainingStateError, match="seeded generator"):
+            model.forward(fixture[0].tokens, training=True)
+
+    def test_training_forward_without_dropout_needs_no_generator(self):
+        fixture = make_fixture(np.random.default_rng(14), 2)
+        model = tiny_model(fixture)
+        trained = model.forward(fixture[0].tokens, training=True)
+        inferred = model.forward(fixture[0].tokens)
+        assert trained.relation_probs.tobytes() == inferred.relation_probs.tobytes()
 
     def test_mean_loss_decreases_on_memorization_fixture(self):
         fixture = make_fixture(np.random.default_rng(6), 20)
