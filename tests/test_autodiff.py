@@ -865,3 +865,13 @@ class TestXavierInit:
         w = ad.xavier_init((1000, 1000), np.random.default_rng(2))
         target = 2.0 / 2000.0
         assert abs(w.var() - target) < 0.1 * target
+
+    def test_smallest_config_dims_give_non_empty_matrices(self):
+        # xavier_init trusts its shape; every size comes from a config dim >= 1.
+        config = ModelConfig(embedding_dim=1, lstm_hidden=1, ffnn_hidden=1, width_dim=1,
+                             distance_dim=1)
+        model = SpanModel(config, Vocabulary.build([["a"]]), seed=0)
+        matrices = [p for p in model.parameters() if p.data.ndim == 2]
+        assert len(matrices) >= 4
+        assert all(min(p.shape) >= 1 and np.isfinite(p.data).all() for p in matrices)
+        assert model.forward(["a", "b"]).mention_probs.shape[1] == 3

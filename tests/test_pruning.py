@@ -1,12 +1,14 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from spantriplet import pruning
 from spantriplet.autodiff import softmax_probabilities
-from spantriplet.data import make_fixture
+from spantriplet.data import make_fixture, save_checkpoint
 from spantriplet.encoder import Vocabulary, enumerate_spans
+from spantriplet.errors import CheckpointError
 from spantriplet.model import ModelConfig, SpanModel
 from spantriplet.pruning import MENTION_OPINION, MENTION_TARGET, SpanCandidate
 from spantriplet.training import compute_loss, make_optimizer, TrainConfig
@@ -139,6 +141,46 @@ class TestSingleChannelPruning:
             pool = pruning.prune_single_channel(single, n, 1.0)
             assert len(pool) >= len(targets)
             assert len(pool) >= len(opinions)
+
+
+class TestChannelHeadContract:
+    """The prune functions trust the head width; the config and the loader make it right."""
+
+    OTHER_MODE = {"dual": "single", "single": "dual"}
+
+    def make_model(self, channel_mode):
+        fixture = make_fixture(np.random.default_rng(21), 3)
+        vocab = Vocabulary.build(s.tokens for s in fixture)
+        config = ModelConfig(embedding_dim=6, lstm_hidden=4, ffnn_hidden=5, width_dim=3,
+                             distance_dim=3, channel_mode=channel_mode)
+        return SpanModel(config, vocab, seed=0), fixture
+
+    @pytest.mark.parametrize("channel_mode", ["dual", "single"])
+    def test_mention_head_width_follows_channel_mode(self, channel_mode):
+        model, fixture = self.make_model(channel_mode)
+        tokens = fixture[0].tokens
+        out = model.forward(tokens)
+        k = pruning.pool_size(len(tokens), model.config.z, len(out.candidates))
+        assert {len(c.probs) for c in out.candidates} == {len(model.config.mention_classes)}
+        assert len(out.target_pool) == len(out.opinion_pool) == k
+        if channel_mode == "single":
+            assert out.target_pool == pruning.prune_single_channel(
+                out.candidates, len(tokens), model.config.z)
+        else:
+            assert (out.target_pool, out.opinion_pool) == pruning.prune_dual_channel(
+                out.candidates, len(tokens), model.config.z)
+
+    @pytest.mark.parametrize("channel_mode", ["dual", "single"])
+    def test_checkpoint_claiming_the_other_channel_mode_is_rejected(self, tmp_path,
+                                                                    channel_mode):
+        model, _ = self.make_model(channel_mode)
+        config = asdict(model.config)
+        config["channel_mode"] = self.OTHER_MODE[channel_mode]
+        path = str(tmp_path / "relabelled.ckpt.npz")
+        save_checkpoint(path, model.parameters(),
+                        meta={"config": config, "vocab": model.vocab.tokens})
+        with pytest.raises(CheckpointError, match="'mention.w"):
+            SpanModel.load(path)
 
 
 class TestSingleChannelPipeline:

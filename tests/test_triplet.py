@@ -22,6 +22,16 @@ class TestPairDistance:
     def test_symmetric_roles_can_touch(self):
         assert tr.pair_distance((0, 1), (1, 2)) == 0
 
+    def test_distance_is_symmetric_and_never_negative(self):
+        # bucket_index trusts its input; pair_distance is its one source.
+        from spantriplet.encoder import enumerate_spans
+
+        spans = enumerate_spans(12, 8)
+        for t in spans:
+            for o in spans:
+                assert tr.pair_distance(t, o) == tr.pair_distance(o, t) >= 0
+                assert tr.pair_distance_bucket(t, o) == tr.pair_distance_bucket(o, t)
+
     def test_vectorized_buckets_match_every_pair(self):
         from spantriplet.encoder import enumerate_spans
 
