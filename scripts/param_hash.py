@@ -5,10 +5,11 @@ Two checkouts that should train bit for bit alike print the same hash:
     python3 scripts/param_hash.py --span-mode boundary --channel-mode dual --dims reference
     python3 scripts/param_hash.py --span-mode max_pool --channel-mode single --dims small
 
-BLAS is pinned to one thread before numpy loads, because at reference
-dimensions the bits of a matrix product depend on the thread count. The
-corpus chains synthetic fixture sentences into sentences of 5-40 tokens,
-and one ``train_epoch`` over ``--steps`` of them makes one update each.
+BLAS is pinned to one thread through ``set_blas_threads``, as the CLI pins
+it, because at reference dimensions the bits of a matrix product depend on
+the thread count. The corpus chains synthetic fixture sentences into
+sentences of 5-40 tokens, and one ``train_epoch`` over ``--steps`` of them
+makes one update each.
 """
 
 import argparse
@@ -17,7 +18,6 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LENGTHS = (5, 40)
 SMALL_DIMS = dict(embedding_dim=12, lstm_hidden=8, ffnn_hidden=10, width_dim=4, distance_dim=6)
 SEED = 710  # corpus seed; the model seed is SEED + 1, the shuffle seed SEED + 2
@@ -58,15 +58,15 @@ def chained_corpus(rng, count, low, high):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    for var in BLAS_VARS:
-        os.environ[var] = "1"
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import numpy as np
 
+    from spantriplet.autodiff import set_blas_threads
     from spantriplet.encoder import Vocabulary
     from spantriplet.model import ModelConfig, SpanModel
     from spantriplet.training import TrainConfig, make_optimizer, train_epoch
 
+    library, threads = set_blas_threads(1)
     sentences = chained_corpus(np.random.default_rng(SEED), args.steps, *LENGTHS)
     dims = SMALL_DIMS if args.dims == "small" else {}
     config = ModelConfig(span_mode=args.span_mode, channel_mode=args.channel_mode, **dims)
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
                    optimizer.second_moment):
         for array in arrays:
             digest.update(np.ascontiguousarray(array).tobytes())
-    print(" ".join(f"{var}={os.environ[var]}" for var in BLAS_VARS))
+    print(f"BLAS {library} at {threads} thread(s)")
     print(f"{args.span_mode}/{args.channel_mode} {args.dims} dims, {args.steps} steps, "
           f"weight decay {args.weight_decay}, seed {SEED}")
     print(f"sha256 {digest.hexdigest()}")

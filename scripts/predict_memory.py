@@ -9,8 +9,8 @@ dimensions, predicts one sentence of n tokens twice, and reports the second
 call's wall time, the process's peak RSS once the model is built, and its
 peak RSS after both calls (``ru_maxrss``; Linux reports it in KiB). An
 untrained dual-channel model keeps k = ceil(z * n) spans in each pool, so
-the relation scorer sees k * k pairs. BLAS is pinned to one thread before
-numpy loads, as in ``param_hash.py``.
+the relation scorer sees k * k pairs. Each process pins BLAS to one thread
+through ``set_blas_threads``, as the CLI does.
 """
 
 import argparse
@@ -22,7 +22,6 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 VOCABULARY = 50  # distinct token types in the synthetic sentence
 
 
@@ -44,10 +43,12 @@ def peak_rss_mib() -> float:
 def measure(n: int) -> dict:
     """Build, predict and measure one length in this process."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    from spantriplet.autodiff import set_blas_threads
     from spantriplet.encoder import Vocabulary, enumerate_spans
     from spantriplet.model import ModelConfig, SpanModel
     from spantriplet.pruning import pool_size
 
+    _, threads = set_blas_threads(1)
     tokens = [f"w{i % VOCABULARY}" for i in range(n)]
     config = ModelConfig()
     model = SpanModel(config, Vocabulary.build([tokens]), seed=0)
@@ -58,7 +59,7 @@ def measure(n: int) -> dict:
     model.predict(tokens)
     seconds = time.perf_counter() - start
     return {"n": n, "pairs": k * k, "predict_ms": 1000.0 * seconds,
-            "built_mib": built, "peak_mib": peak_rss_mib()}
+            "built_mib": built, "peak_mib": peak_rss_mib(), "blas_threads": threads}
 
 
 def main(argv=None) -> int:
@@ -66,19 +67,20 @@ def main(argv=None) -> int:
     if args.measure is not None:
         print(json.dumps(measure(args.measure)))
         return 0
-    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
-    print(" ".join(f"{var}=1" for var in BLAS_VARS))
+    threads = set()
     print("| n | pairs | predict | peak RSS once built | peak RSS |")
     print("|---|---|---|---|---|")
     for n in args.lengths:
         proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--measure", str(n)],
-                              env=env, capture_output=True, text=True)
+                              capture_output=True, text=True)
         if proc.returncode != 0:
             print(proc.stderr, file=sys.stderr, end="")
             return proc.returncode
         row = json.loads(proc.stdout.splitlines()[-1])
         print(f"| {row['n']} | {row['pairs']:,} | {row['predict_ms']:.1f} ms "
               f"| {row['built_mib']:.0f} MiB | {row['peak_mib']:.0f} MiB |", flush=True)
+        threads.add(row["blas_threads"])
+    print("BLAS threads per process:", *sorted(threads, key=str))
     return 0
 
 

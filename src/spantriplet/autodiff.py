@@ -8,16 +8,22 @@ updates (batch size 1) and keeps no state between examples.
 
 The op set is exactly what the model runs: ``rows`` (embedding, boundary
 and width gathers), ``span_pool``, ``pair_linear``, ``concat``,
-``lstm``, ``dropout``, ``linear``, ``relu``, ``softmax_nll`` and the
-``add`` that sums the two losses. Each LSTM direction is one op: its input
-projection is hoisted into one GEMM over the sentence and its BPTT
-backward is written by hand. Max or mean pooling over every span of a
-sentence is one op too, and so is each affine layer of a scorer. The
-relation scorer's layer 0 and the pair matrix it reads are one op,
+``bilstm``, ``dropout``, ``linear``, ``relu``, ``softmax_nll`` and the
+``add`` that sums the two losses. Both LSTM directions are one op: each
+direction's input projection is hoisted into one GEMM over the sentence
+and its BPTT backward is written by hand. Max or mean pooling over every
+span of a sentence is one op too, and so is each affine layer of a scorer.
+The relation scorer's layer 0 and the pair matrix it reads are one op,
 ``pair_linear``: its backward sums the output gradient over the pools
 before any GEMM, so no (pairs, 2D + dd) gradient is ever formed, and its
 forward builds the pair matrix a block of rows at a time in its weight's
 scratch buffer.
+Two ops run in two lanes when their BLAS calls are large enough: the
+caller's thread and one worker thread, which overlap because numpy
+releases the GIL inside BLAS. ``bilstm`` runs one direction in each lane,
+forward and backward, and ``pair_linear``'s forward gives each lane half
+of its blocks. Every lane writes its own arrays, so the bits are those of
+running the halves in turn.
 A training step allocates little: a weight's gradient GEMMs go through
 the one scratch buffer it keeps, row gathers scatter their gradient into
 the existing buffer, and AdamW updates in place, block by block.
@@ -30,7 +36,12 @@ never gets a grad buffer and each op's backward is its bare gradient formula.
 
 from __future__ import annotations
 
+import ctypes
+import logging
 import math
+import os
+import re
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -176,6 +187,111 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...],
 
 
 # ---------------------------------------------------------------------------
+# Threads: two lanes per op, and the BLAS thread count
+# ---------------------------------------------------------------------------
+
+# The smallest BLAS call, in multiply-adds, that an op splits over two
+# lanes. An LSTM step's ``h @ w_hh`` is 4H * H of them: two lanes gained
+# nothing at H = 128 (65k) and ran the forward 1.4-1.9x faster at H = 300
+# (360k).
+LANE_MIN_MULADDS = 1 << 18
+
+_worker: ThreadPoolExecutor | None = None
+
+
+def _drop_worker() -> None:
+    global _worker
+    _worker = None
+
+
+# A forked child inherits the executor but not its thread; it makes its own.
+os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _lanes_pay(muladds: int) -> bool:
+    """Whether an op whose BLAS calls are ``muladds`` each runs in two lanes.
+
+    Only if every call is at least ``LANE_MIN_MULADDS`` and the process may
+    use two CPUs.
+    """
+    if muladds < LANE_MIN_MULADDS:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _in_lanes(work: Callable, first: tuple, second: tuple, lanes: bool) -> tuple:
+    """``(work(*first), work(*second))``: the two independent halves of one op.
+
+    With ``lanes`` the first half runs on the one worker thread, made on
+    first use, while the second runs on the caller; without, they run in
+    turn on the caller. The halves must write disjoint arrays.
+    """
+    global _worker
+    if not lanes:
+        return work(*first), work(*second)
+    if _worker is None:
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spantriplet-lane")
+    pending = _worker.submit(work, *first)
+    try:
+        done = work(*second)
+    finally:
+        # The worker's half finishes before the caller goes on, even after an error.
+        first_done = pending.result()
+    return first_done, done
+
+
+# Thread-count (setter, getter) pairs as numpy's bundled OpenBLAS, a plain
+# OpenBLAS and MKL export them.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("MKL_Set_Num_Threads", "MKL_Get_Max_Threads"),
+)
+
+
+def set_blas_threads(threads: int) -> tuple[str | None, int | None]:
+    """Set the thread count of numpy's BLAS from inside the process.
+
+    At the reference dimensions the bits of a matrix product depend on how
+    many threads split it, so a run replays bitwise only at a fixed count.
+    The library is looked up among the shared objects this process maps
+    (``/proc/self/maps``) and set through ``ctypes``. Returns its path and
+    the count it reads back, or (None, None) after one logged warning when
+    no mapped library exports a known setter.
+    """
+    mapped = set()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            for line in maps:
+                fields = line.split(maxsplit=5)
+                # The sixth field, when present, is the mapped file.
+                if len(fields) == 6 and re.search(r"blas|mkl", os.path.basename(fields[5]), re.I):
+                    mapped.add(fields[5].strip())
+    except OSError:
+        pass
+    for path in sorted(mapped):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # a mapped file that is no loadable library
+            continue
+        for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(library, set_name) and hasattr(library, get_name):
+                setter, getter = getattr(library, set_name), getattr(library, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter(threads)
+                return path, getter()
+    logging.getLogger(__name__).warning(
+        "found no BLAS thread setter; matrix products keep their thread count, "
+        "so results may not replay bitwise")
+    return None, None
+
+
+# ---------------------------------------------------------------------------
 # Linear algebra and structure
 # ---------------------------------------------------------------------------
 
@@ -299,12 +415,14 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
     without a table the last block is absent and ``buckets`` must be None.
     ``x`` never exists whole. The forward writes it a block of whole target
     groups at a time, about ``PAIR_BLOCK_ROWS`` rows, into the scratch
-    buffer ``w`` keeps, and runs that block's GEMM into its rows of
-    the output. The blocks hold equal target counts, give or take one, so
-    none is a 1- or 2-row product unless the whole matrix is: BLAS rounds
-    those through other kernels. Every row then has the bits of ``linear``
-    on the materialized matrix wherever BLAS takes the same kernel for a
-    block as for the whole, as OpenBLAS does at the reference width.
+    buffer ``w`` keeps, and runs that block's GEMM into its rows of the
+    output. When the blocks are large enough, each of two lanes does half
+    of them in a buffer block of its own. The blocks hold equal target
+    counts, give or take one, so none is a 1- or 2-row product unless the
+    whole matrix is: BLAS rounds those through other kernels. Every row
+    then has the bits of ``linear`` on the materialized matrix wherever
+    BLAS takes the same kernel for a block as for the whole, as OpenBLAS
+    does at the reference width.
 
     Backward never forms a (kt * ko, .) gradient. With ``w`` split into
     its target, opinion and distance blocks W_t, W_o, W_d and ``g`` viewed
@@ -341,16 +459,25 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
     per_block = max(1, PAIR_BLOCK_ROWS // max(ko, 1))
     blocks = max(1, math.ceil(kt / per_block))
     bounds = [i * kt // blocks for i in range(blocks + 1)]
-    scratch = w._scratch_buffer(math.ceil(kt / blocks) * ko, width)
+    block_rows = math.ceil(kt / blocks) * ko
+    lanes = blocks > 1 and _lanes_pay(block_rows * width * w.shape[1])
+    # One block per lane, sized here: a buffer grown inside a lane would race.
+    scratch = w._scratch_buffer((1 + lanes) * block_rows, width)
     opinion_rows = reps.data[o_idx]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        x = scratch[:(stop - start) * ko]
-        grid = x.reshape(stop - start, ko, width)
-        grid[:, :, :dim] = reps.data[t_idx[start:stop]][:, None, :]
-        grid[:, :, dim:2 * dim] = opinion_rows
-        if table is not None:
-            x[:, 2 * dim:] = table.data[b_idx[start * ko:stop * ko]]
-        np.matmul(x, w.data, out=data[start * ko:stop * ko])
+
+    def fill(bounds: list[int], rows: np.ndarray) -> None:
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            x = rows[:(stop - start) * ko]
+            grid = x.reshape(stop - start, ko, width)
+            grid[:, :, :dim] = reps.data[t_idx[start:stop]][:, None, :]
+            grid[:, :, dim:2 * dim] = opinion_rows
+            if table is not None:
+                x[:, 2 * dim:] = table.data[b_idx[start * ko:stop * ko]]
+            np.matmul(x, w.data, out=data[start * ko:stop * ko])
+
+    half = blocks // 2
+    _in_lanes(fill, (bounds[:half + 1], scratch[:block_rows]),
+              (bounds[half:], scratch[len(scratch) - block_rows:]), lanes)
     data += b.data
 
     def backward(g: np.ndarray) -> None:
@@ -447,30 +574,14 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
     return np.where(d >= 0, 1.0 / den, e / den)
 
 
-def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-         reverse: bool = False) -> Tensor:
-    """One LSTM direction over an (n, E) sequence as a single graph node.
+def _lstm_forward(xs: np.ndarray, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
+                  out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One direction's recurrence over the rows of ``xs`` in reading order.
 
-    Gate order along the 4H axis is i, f, g, o, and the states start at
-    zero. With ``reverse`` the recurrence reads the rows from last to first;
-    either way row t of the (n, H) result is the state after reading row t.
-    The input projection ``x @ w_ih + bias`` is one GEMM for the whole
-    sequence (Appleyard et al. 2016). Backward is hand-written BPTT: it fills
-    the (n, 4H) gradient of the gate pre-activations, then forms each weight
-    gradient and the input gradient as one GEMM over it.
+    Writes the states into ``out`` and returns the activated gates, the
+    cells, their tanh and the states, which its backward reads.
     """
-    if x.ndim != 2 or w_hh.ndim != 2:
-        raise DimensionError(f"lstm: expected 2-D input and w_hh, got {x.shape} and {w_hh.shape}")
-    n, in_dim = x.shape
-    hidden = w_hh.shape[0]
-    if (w_ih.shape != (in_dim, 4 * hidden) or w_hh.shape != (hidden, 4 * hidden)
-            or bias.shape != (4 * hidden,)):
-        raise DimensionError(
-            f"lstm: input {x.shape} with hidden size {hidden} needs w_ih "
-            f"{(in_dim, 4 * hidden)}, w_hh {(hidden, 4 * hidden)} and bias "
-            f"{(4 * hidden,)}, got {w_ih.shape}, {w_hh.shape} and {bias.shape}")
-    # Everything below runs in reading order; only the ends are flipped.
-    xs = x.data[::-1] if reverse else x.data
+    n, hidden = xs.shape[0], w_hh.shape[0]
     pre = xs @ w_ih.data + bias.data
     gates = np.empty_like(pre)  # activated i, f, g, o
     cells = np.empty((n, hidden))
@@ -487,36 +598,97 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
         c = cells[t] = act[f_] * c + act[i_] * act[g_]
         tanh_cells[t] = np.tanh(c)
         h = states[t] = act[o_] * tanh_cells[t]
+    out[...] = states
+    return gates, cells, tanh_cells, states
+
+
+def _lstm_backward(g: np.ndarray, xs: np.ndarray, saved: tuple[np.ndarray, ...],
+                   w_ih: Tensor, w_hh: Tensor, bias: Tensor,
+                   input_grad: bool) -> np.ndarray | None:
+    """BPTT of one direction, ``g`` and ``xs`` in its reading order.
+
+    Adds the direction's weight gradients and returns its input gradient
+    in reading order, or None without ``input_grad``.
+    """
+    gates, cells, tanh_cells, states = saved
+    n, hidden = states.shape
+    i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    i, f, gg, o = gates[:, i_], gates[:, f_], gates[:, g_], gates[:, o_]
+    c_prev = np.vstack([np.zeros((1, hidden)), cells[:-1]])
+    h_prev = np.vstack([np.zeros((1, hidden)), states[:-1]])
+    # Local derivatives for every step at once: the i, f and g
+    # pre-activations scale the cell gradient, o scales the state's.
+    by_dc = np.stack([gg * i * (1.0 - i), c_prev * f * (1.0 - f),
+                      i * (1.0 - gg * gg)], axis=1)
+    by_dh = tanh_cells * o * (1.0 - o)
+    dc_from_dh = o * (1.0 - tanh_cells * tanh_cells)
+    d_pre = np.empty((n, 4, hidden))
+    dh_next = np.zeros(hidden)
+    dc_next = np.zeros(hidden)
+    for t in range(n - 1, -1, -1):
+        dh = g[t] + dh_next
+        dc = dh * dc_from_dh[t] + dc_next
+        np.multiply(by_dc[t], dc, out=d_pre[t, :3])
+        np.multiply(by_dh[t], dh, out=d_pre[t, 3])
+        dc_next = dc * f[t]
+        dh_next = w_hh.data @ d_pre[t].reshape(-1)
+    d_pre = d_pre.reshape(n, 4 * hidden)
+    w_ih._accumulate_product((xs.T, d_pre))
+    w_hh._accumulate_product((h_prev.T, d_pre))
+    bias._accumulate(d_pre.sum(axis=0))
+    return d_pre @ w_ih.data.T if input_grad else None
+
+
+def bilstm(x: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor]) -> Tensor:
+    """Both LSTM directions over an (n, E) sequence as one (n, 2H) graph node.
+
+    ``fw`` and ``bw`` are each direction's (w_ih, w_hh, bias), with gate
+    order i, f, g, o along the 4H axis; they must not share a tensor, as
+    the two directions may write their gradients at once. Columns
+    :H hold the forward direction's states and H: the backward one's,
+    which reads the rows from last to first; either way row t holds the
+    state after reading row t. The states start at zero. Each direction's
+    input projection ``x @ w_ih + bias`` is one GEMM for the whole sequence
+    (Appleyard et al. 2016). Backward is hand-written BPTT: it fills the
+    (n, 4H) gradient of the gate pre-activations, then forms each weight
+    gradient and the input gradient as one GEMM over it.
+
+    Each direction is one lane of ``_in_lanes``, forward and backward, when
+    its per-step ``h @ w_hh`` is large enough. A direction writes only its
+    own arrays and weight gradients; the input gradient is added after
+    both, the forward direction's first.
+    """
+    fw, bw = tuple(fw), tuple(bw)
+    if x.ndim != 2 or any(len(cell) != 3 or cell[1].ndim != 2 for cell in (fw, bw)):
+        raise DimensionError(f"bilstm: expected 2-D input and per direction (w_ih, w_hh, "
+                             f"bias) with a 2-D w_hh, got {x.shape} and "
+                             f"{[[t.shape for t in cell] for cell in (fw, bw)]}")
+    n, in_dim = x.shape
+    hidden = fw[1].shape[0]
+    needed = ((in_dim, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))
+    for name, cell in zip(("forward", "backward"), (fw, bw)):
+        if tuple(t.shape for t in cell) != needed:
+            raise DimensionError(
+                f"bilstm: input {x.shape} with hidden size {hidden} needs w_ih, w_hh "
+                f"and bias of shapes {needed}, the {name} direction has "
+                f"{tuple(t.shape for t in cell)}")
+    # Each direction runs in its reading order; only the ends are flipped.
+    reading = (x.data, x.data[::-1])
+    data = np.empty((n, 2 * hidden))
+    lanes = _lanes_pay(4 * hidden * hidden)
+    saved = _in_lanes(_lstm_forward, (reading[0], *fw, data[:, :hidden]),
+                      (reading[1], *bw, data[::-1, hidden:]), lanes)
 
     def backward(g: np.ndarray) -> None:
-        g = g[::-1] if reverse else g
-        i, f, gg, o = gates[:, i_], gates[:, f_], gates[:, g_], gates[:, o_]
-        c_prev = np.vstack([np.zeros((1, hidden)), cells[:-1]])
-        h_prev = np.vstack([np.zeros((1, hidden)), states[:-1]])
-        # Local derivatives for every step at once: the i, f and g
-        # pre-activations scale the cell gradient, o scales the state's.
-        by_dc = np.stack([gg * i * (1.0 - i), c_prev * f * (1.0 - f),
-                          i * (1.0 - gg * gg)], axis=1)
-        by_dh = tanh_cells * o * (1.0 - o)
-        dc_from_dh = o * (1.0 - tanh_cells * tanh_cells)
-        d_pre = np.empty((n, 4, hidden))
-        dh_next = np.zeros(hidden)
-        dc_next = np.zeros(hidden)
-        for t in range(n - 1, -1, -1):
-            dh = g[t] + dh_next
-            dc = dh * dc_from_dh[t] + dc_next
-            np.multiply(by_dc[t], dc, out=d_pre[t, :3])
-            np.multiply(by_dh[t], dh, out=d_pre[t, 3])
-            dc_next = dc * f[t]
-            dh_next = w_hh.data @ d_pre[t].reshape(-1)
-        d_pre = d_pre.reshape(n, 4 * hidden)
-        w_ih._accumulate_product((xs.T, d_pre))
-        w_hh._accumulate_product((h_prev.T, d_pre))
-        bias._accumulate(d_pre.sum(axis=0))
-        dx = d_pre @ w_ih.data.T
-        x._accumulate(dx[::-1] if reverse else dx)
+        dx = _in_lanes(_lstm_backward,
+                       (g[:, :hidden], reading[0], saved[0], *fw, x.requires_grad),
+                       (g[::-1, hidden:], reading[1], saved[1], *bw, x.requires_grad),
+                       lanes)
+        if x.requires_grad:
+            x._accumulate(dx[0])
+            x._accumulate(dx[1][::-1])
 
-    return _make(states[::-1] if reverse else states, (x, w_ih, w_hh, bias), backward)
+    return _make(data, (x, *fw, *bw), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None,

@@ -5,7 +5,8 @@ the flags it reads. train and prune-sweep also read a JSON config file
 (--config) whose keys must all be ones the command reads; flags win.
 Both echo the configuration they run into their output directory before
 any work starts, and every file is written atomically. eval and predict
-take the model and its configuration from the checkpoint.
+take the model and its configuration from the checkpoint. Every command
+pins numpy's BLAS to one thread first, so a run replays bit for bit.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
 3 numerical failure during training.
@@ -23,6 +24,7 @@ from dataclasses import asdict
 from . import data as dataio
 from . import evaluation as evalmod
 from . import training
+from .autodiff import set_blas_threads
 from .data import atomic_write_text
 from .encoder import SPAN_MODES, load_embedding_file
 from .errors import ConfigurationError, DataError, NumericalError
@@ -197,7 +199,7 @@ def _make_out_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise DataError(f"cannot create output directory {path}: {exc.strerror}") from exc
+        raise DataError(f"cannot create output directory {path!r}: {exc.strerror}") from exc
 
 
 def _echo_config(config: dict, out_dir: str) -> None:
@@ -237,7 +239,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.out:
+    if args.out is not None:
         _make_out_dir(args.out)
     model = SpanModel.load(args.checkpoint)
     sentences = dataio.load_corpus(args.test)
@@ -253,7 +255,7 @@ def cmd_eval(args) -> int:
              evalmod.render_prf_table(report["mention_from_triplets"])]
     rendered = "\n".join(text)
     print(rendered)
-    if args.out:
+    if args.out is not None:
         atomic_write_text(os.path.join(args.out, "eval.json"),
                           json.dumps(report, indent=2) + "\n")
         atomic_write_text(os.path.join(args.out, "eval.txt"), rendered + "\n")
@@ -275,13 +277,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    if args.out:
+    if args.out is not None:
         dataio.output_directory(args.out)  # a missing directory fails before any output
     stats = {}
     for path in args.corpora:
         stats[os.path.basename(path)] = dataio.dataset_stats(dataio.load_corpus(path))
     print(dataio.format_stats_table(stats))
-    if args.out:
+    if args.out is not None:
         atomic_write_text(args.out, json.dumps(
             {name: s.as_dict() for name, s in stats.items()}, indent=2) + "\n")
     return 0
@@ -294,17 +296,17 @@ def cmd_prune_sweep(args) -> int:
     dev_path = paths.get("dev_path") or train_path
     paths.setdefault("dev_path", dev_path)
     out_dir = paths.get("out")
-    if out_dir:
+    if out_dir is not None:
         _echo_config(config, out_dir)
     train = dataio.load_corpus(train_path)
     dev = dataio.load_corpus(dev_path)
     rows = training.prune_sweep(
         train, dev, model_config, train_config,
         z_values=config["z_values"], modes=config["sweep_modes"],
-        diagnostics_path=(os.path.join(out_dir, "pools.jsonl") if out_dir else None))
+        diagnostics_path=(None if out_dir is None else os.path.join(out_dir, "pools.jsonl")))
     table = training.render_sweep_table(rows)
     print(table)
-    if out_dir:
+    if out_dir is not None:
         atomic_write_text(os.path.join(out_dir, "sweep.json"),
                           json.dumps([asdict(r) for r in rows], indent=2) + "\n")
         atomic_write_text(os.path.join(out_dir, "sweep.txt"), table + "\n")
@@ -323,6 +325,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     # Per-epoch progress goes to stderr; stdout keeps only the results.
     logging.basicConfig(level=logging.INFO)
+    # One BLAS thread: products then have the same bits on every run, and the
+    # second core goes to the ops that split their work over two lanes.
+    set_blas_threads(1)
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -152,8 +152,11 @@ def find_benchmark_split(roots: Iterable[str], dataset: str, split: str) -> str 
 def output_directory(path: str) -> str:
     """The directory a file at ``path`` goes into.
 
-    A DataError naming ``path`` if that directory is absent or ``path`` is a directory itself.
+    A DataError naming ``path`` if it is empty, if that directory is absent
+    or if ``path`` is a directory itself.
     """
+    if not path:
+        raise DataError("cannot write to an empty path")
     if os.path.isdir(path):
         raise DataError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path))

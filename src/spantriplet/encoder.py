@@ -201,12 +201,9 @@ def bilstm_forward(embeddings: Tensor, params: BiLstmParams) -> Tensor:
     """Contextualize (n, E) embeddings into (n, 2H) forward;backward states.
 
     Both directions start from zero states and use the standard LSTM cell
-    recurrence; each direction is one fused ``ad.lstm`` node.
+    recurrence; together they are one fused ``ad.bilstm`` node.
     """
-    fw, bw = params.forward, params.backward
-    return ad.concat([ad.lstm(embeddings, fw.w_ih, fw.w_hh, fw.bias),
-                      ad.lstm(embeddings, bw.w_ih, bw.w_hh, bw.bias, reverse=True)],
-                     axis=1)
+    return ad.bilstm(embeddings, params.forward.parameters(), params.backward.parameters())
 
 
 # ---------------------------------------------------------------------------

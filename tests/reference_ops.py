@@ -1,7 +1,7 @@
 """Elementary ops and the per-span pooling path, kept as test oracles.
 
 The library builds span vectors with one ``ad.span_pool`` node per
-sentence, each LSTM direction as one ``ad.lstm`` node, each scorer
+sentence, both LSTM directions as one ``ad.bilstm`` node, each scorer
 layer as one ``ad.linear`` node and the relation scorer's layer 0 over
 the pair matrix as one ``ad.pair_linear`` node. These are the
 elementwise, per-row and per-slice ops the older compositions were made

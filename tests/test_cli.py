@@ -507,6 +507,26 @@ class TestBadInput:
         with open(corpus_path) as handle:
             assert handle.read() == before
 
+    @pytest.mark.parametrize("command", ["stats", "eval", "predict", "prune-sweep"])
+    def test_empty_out_exits_2_before_any_forward(self, tmp_path, corpus_path, capsys,
+                                                  monkeypatch, command):
+        if command == "stats":
+            argv = ["stats", corpus_path]
+        elif command == "prune-sweep":
+            argv = [command, "--config", make_config(tmp_path, corpus_path),
+                    "--train", corpus_path, "--z-values", "0.5"]
+        else:
+            argv = [command, "--checkpoint", tiny_checkpoint(tmp_path), "--test", corpus_path]
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        forwards = count_forwards(monkeypatch)
+        assert main(argv + ["--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert len(error_lines(captured.err)) == 1
+        assert forwards == [] and captured.out == ""
+        assert list(work.iterdir()) == []
+
     def test_predict_into_a_missing_directory_exits_2_before_any_forward(
             self, tmp_path, corpus_path, capsys, monkeypatch):
         forwards = count_forwards(monkeypatch)

@@ -250,9 +250,11 @@ class TestFusedLstmMatchesReference:
 
     def test_weight_shape_mismatch(self):
         params = enc.BiLstmParams.create("lstm", 5, 4, np.random.default_rng(0))
-        with pytest.raises(DimensionError):
-            ad.lstm(Tensor(np.zeros((3, 5))), params.forward.w_ih,
-                    params.backward.w_ih, params.forward.bias)
+        fw, bw = params.forward, params.backward
+        for cells in (((fw.w_ih, bw.w_ih, fw.bias), bw.parameters()),
+                      (fw.parameters(), (bw.w_ih, bw.w_hh, fw.w_hh))):
+            with pytest.raises(DimensionError):
+                ad.bilstm(Tensor(np.zeros((3, 5))), *cells)
 
 
 class TestEnumerateSpans:
