@@ -132,10 +132,11 @@ def find_benchmark_split(roots: Iterable[str], dataset: str, split: str) -> str 
     """Path of a released benchmark split under the first root that has it, else None.
 
     Accepts the layouts <root>/<dataset>/<split>_triplets.txt and
-    <root>/<dataset>/<split>.txt, with the dataset spelled e.g. rest14 or 14res.
+    <root>/<dataset>/<split>.txt, with the dataset spelled e.g. rest14, 14rest
+    or 14res: the domain whole or cut to three letters, on either side of the number.
     """
     number, domain = dataset[-2:], dataset[:-2]
-    names = {dataset, f"{number}{domain}", f"{domain}{number}"}
+    names = {f"{a}{b}" for d in (domain, domain[:3]) for a, b in ((d, number), (number, d))}
     for root in roots:
         if not os.path.isdir(root):
             continue

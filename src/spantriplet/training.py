@@ -198,9 +198,7 @@ class SeedResult:
         return {
             "seed": self.seed, "best_epoch": self.best_epoch,
             "dev_f1_curve": self.dev_f1_curve,
-            "test": {"precision": self.test.precision, "recall": self.test.recall,
-                     "f1": self.test.f1,
-                     "tp": self.test.tp, "fp": self.test.fp, "fn": self.test.fn},
+            "test": self.test.as_dict(),
             "checkpoint": self.checkpoint_path,
         }
 
@@ -211,18 +209,10 @@ class ExperimentReport:
     train_config: dict
     seed_results: list[SeedResult] = field(default_factory=list)
 
-    @property
-    def mean_precision(self) -> float:
-        return float(np.mean([r.test.precision for r in self.seed_results]))
-
-    @property
-    def mean_recall(self) -> float:
-        return float(np.mean([r.test.recall for r in self.seed_results]))
-
-    @property
-    def mean_f1(self) -> float:
-        """Mean of the per-seed F1 scores."""
-        return float(np.mean([r.test.f1 for r in self.seed_results]))
+    def mean_scores(self) -> dict[str, float]:
+        """Means of the per-seed precision, recall and F1 scores."""
+        return {name: float(np.mean([getattr(r.test, name) for r in self.seed_results]))
+                for name in ("precision", "recall", "f1")}
 
     def pooled_counts_prf(self) -> PRF:
         """PRF of the summed tp/fp/fn over seeds, the other averaging convention."""
@@ -236,8 +226,7 @@ class ExperimentReport:
             "model_config": self.model_config,
             "train_config": self.train_config,
             "seeds": [r.as_dict() for r in self.seed_results],
-            "mean": {"precision": self.mean_precision, "recall": self.mean_recall,
-                     "f1": self.mean_f1},
+            "mean": self.mean_scores(),
             "pooled_counts": {"precision": pooled.precision, "recall": pooled.recall,
                               "f1": pooled.f1},
         }
@@ -247,9 +236,9 @@ class ExperimentReport:
         for r in self.seed_results:
             lines.append(f"{r.seed:<6}{r.best_epoch:<12}{r.test.precision:<10.4f}"
                          f"{r.test.recall:<10.4f}{r.test.f1:.4f}")
-        pooled = self.pooled_counts_prf()
-        lines.append(f"mean of per-seed scores: P={self.mean_precision:.4f} "
-                     f"R={self.mean_recall:.4f} F1={self.mean_f1:.4f}")
+        mean, pooled = self.mean_scores(), self.pooled_counts_prf()
+        lines.append(f"mean of per-seed scores: P={mean['precision']:.4f} "
+                     f"R={mean['recall']:.4f} F1={mean['f1']:.4f}")
         lines.append(f"pooled-count scores:     P={pooled.precision:.4f} "
                      f"R={pooled.recall:.4f} F1={pooled.f1:.4f}")
         return "\n".join(lines)

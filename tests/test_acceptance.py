@@ -328,6 +328,12 @@ def test_official_corpus_finder_resolves_common_layouts(tmp_path):
         layout_a / "test_triplets.txt")
     assert find_benchmark_split(roots, "lap14", "train") == str(layout_b / "train.txt")
     assert find_benchmark_split(roots, "rest15", "test") is None
+    # the ASTE-Data-V2 spelling cuts the restaurant domain to three letters
+    for name, dataset in (("14res", "rest14"), ("15rest", "rest15"), ("16res", "rest16")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "dev_triplets.txt").write_text("ok .####[]\n")
+        assert find_benchmark_split(roots, dataset, "dev") == str(
+            tmp_path / name / "dev_triplets.txt")
 
 
 def test_criterion_8_ablation_plumbing():

@@ -370,14 +370,14 @@ class TestRunExperiment:
         assert len(report.seed_results) == 1
         row = report.seed_results[0]
         assert row.best_epoch == 0
-        assert report.mean_f1 == pytest.approx(row.test.f1)
+        assert report.mean_scores()["f1"] == pytest.approx(row.test.f1)
 
     def test_mean_matches_independent_recompute(self):
         fixture = make_fixture(np.random.default_rng(9), 6)
         config = TrainConfig(epochs=1, seeds=(0, 1))
         report = run_experiment(fixture, fixture, fixture, TEST_CONFIG, config)
         f1s = [r.test.f1 for r in report.seed_results]
-        assert report.mean_f1 == pytest.approx(sum(f1s) / len(f1s))
+        assert report.mean_scores()["f1"] == pytest.approx(sum(f1s) / len(f1s))
         pooled = report.pooled_counts_prf()
         tp = sum(r.test.tp for r in report.seed_results)
         fp = sum(r.test.fp for r in report.seed_results)
