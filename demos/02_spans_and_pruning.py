@@ -4,7 +4,7 @@
 import numpy as np
 
 from spantriplet.data import make_fixture
-from spantriplet.encoder import Vocabulary, bucket_index, enumerate_spans
+from spantriplet.encoder import Vocabulary, bucket_indices, enumerate_spans
 from spantriplet.model import ModelConfig, SpanModel
 from spantriplet.pruning import MENTION_OPINION, MENTION_TARGET
 
@@ -25,9 +25,10 @@ print(f"\ngap<=8 enumerates {len(full)} spans; closed form gives "
 
 # --- width and distance buckets ----------------------------------------------
 
+values = [*range(10), 15, 31, 64, 200]
 print("\nbucket(v) for v = 0..9, 15, 31, 64, 200:")
-for value in [*range(10), 15, 31, 64, 200]:
-    print(f"  {value:>3} -> bucket {bucket_index(value)}")
+for value, bucket in zip(values, bucket_indices(values)):
+    print(f"  {value:>3} -> bucket {bucket}")
 
 # --- candidate pools ----------------------------------------------------------
 

@@ -327,33 +327,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(data, (x, w, b), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along ``axis``; gradients slice back to the inputs."""
+def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
+    """Join 2-D tensors with equal row counts side by side; ``axis`` must be 1.
+
+    Gradients slice back to the inputs column block by column block.
+    """
     tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("concat: need at least one tensor")
-    ndim = tensors[0].ndim
-    if not 0 <= axis < ndim:
-        raise DimensionError(f"concat: axis {axis} out of range for rank {ndim}")
-    for t in tensors[1:]:
-        if t.ndim != ndim:
-            raise DimensionError(
-                f"concat: ranks differ, {[t.shape for t in tensors]}"
-            )
-        for ax in range(ndim):
-            if ax != axis and t.shape[ax] != tensors[0].shape[ax]:
-                raise DimensionError(
-                    f"concat: shapes incompatible off axis {axis}: {[t.shape for t in tensors]}"
-                )
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    shapes = [t.shape for t in tensors]
+    if axis != 1 or not tensors or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
+        raise DimensionError(f"concat: joins 2-D tensors with equal row counts on axis 1, "
+                             f"got axis {axis} and shapes {shapes}")
+    data = np.concatenate([t.data for t in tensors], axis=1)
+    offsets = np.cumsum([0] + [s[1] for s in shapes])
 
     def backward(g: np.ndarray) -> None:
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * ndim
-            index[axis] = slice(start, stop)
-            t._accumulate(g[tuple(index)])
+            t._accumulate(g[:, start:stop])
 
     return _make(data, tuple(tensors), backward)
 

@@ -277,11 +277,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    repeated = sorted({path for path in args.corpora if args.corpora.count(path) > 1})
+    if repeated:
+        raise ConfigurationError(f"stats: corpora given more than once: {repeated}")
     if args.out is not None:
         dataio.output_directory(args.out)  # a missing directory fails before any output
+    # A row is labelled by its file name unless another corpus shares it.
+    names = [os.path.basename(path) for path in args.corpora]
     stats = {}
-    for path in args.corpora:
-        stats[os.path.basename(path)] = dataio.dataset_stats(dataio.load_corpus(path))
+    for path, name in zip(args.corpora, names):
+        label = name if names.count(name) == 1 else path
+        stats[label] = dataio.dataset_stats(dataio.load_corpus(path))
     print(dataio.format_stats_table(stats))
     if args.out is not None:
         atomic_write_text(args.out, json.dumps(

@@ -7,7 +7,6 @@ widest enumerated span covers max_gap + 1 tokens.
 
 from __future__ import annotations
 
-import bisect
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -24,8 +23,8 @@ UNK_TOKEN = "<unk>"
 
 # Bucket upper bounds for span widths and pair distances: singleton buckets
 # 0..4, then 5-7, 8-15, 16-31, 32-63, and 64+.
-_BUCKET_UPPER = (0, 1, 2, 3, 4, 7, 15, 31, 63)
-NUM_BUCKETS = len(_BUCKET_UPPER) + 1
+BUCKET_UPPER = (0, 1, 2, 3, 4, 7, 15, 31, 63)
+NUM_BUCKETS = len(BUCKET_UPPER) + 1
 
 
 def span_width(span: Span) -> int:
@@ -37,16 +36,7 @@ def bucket_indices(values) -> np.ndarray:
 
     A value's bucket is the first slot whose upper bound is at least the value.
     """
-    return np.searchsorted(_BUCKET_UPPER, values)
-
-
-def bucket_index(value: int) -> int:
-    """``bucket_indices`` for one value, by the same search over the same bounds.
-
-    ``bisect_left`` is numpy's ``searchsorted`` rule without the array
-    round trip, which costs more than ten times as much per scalar.
-    """
-    return bisect.bisect_left(_BUCKET_UPPER, value)
+    return np.searchsorted(BUCKET_UPPER, values)
 
 
 def enumerate_spans(n: int, max_gap: int) -> list[Span]:
@@ -63,9 +53,11 @@ def enumerate_spans(n: int, max_gap: int) -> list[Span]:
 class Vocabulary:
     """Lowercased token -> dense index map with a reserved unknown slot."""
 
-    def __init__(self, tokens: Sequence[str]):
-        if not tokens or tokens[0] != UNK_TOKEN:
-            tokens = [UNK_TOKEN] + [t for t in tokens if t != UNK_TOKEN]
+    def __init__(self, tokens: list[str]):
+        """Token ``i`` of ``tokens`` is embedding row ``i``; row 0 must be ``UNK_TOKEN``."""
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+                and tokens[:1] == [UNK_TOKEN]):
+            raise DataError(f"a vocabulary must be a list of strings starting with {UNK_TOKEN!r}")
         self.tokens = list(tokens)
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):

@@ -21,7 +21,7 @@ from . import pruning
 from .autodiff import FeedForward, Parameter, Tensor
 from .data import load_checkpoint, restore_parameters, save_checkpoint
 from .encoder import Span, Vocabulary
-from .errors import CheckpointError, ConfigurationError
+from .errors import CheckpointError, ConfigurationError, DataError
 from .pruning import SpanCandidate
 from .triplet import RELATION_CLASSES, TripletPrediction, decode_triplets, pair_distance_buckets
 
@@ -284,7 +284,11 @@ class SpanModel:
             config = config_from_dict(ModelConfig, meta["config"])
         except ConfigurationError as exc:
             raise CheckpointError(f"{path}: stored model config is invalid: {exc}") from exc
-        model = cls(config, Vocabulary(meta["vocab"]))
+        try:
+            vocab = Vocabulary(meta["vocab"])
+        except DataError as exc:
+            raise CheckpointError(f"{path}: stored vocab is invalid: {exc}") from exc
+        model = cls(config, vocab)
         restore_parameters(model.parameters(), arrays)
         return model
 

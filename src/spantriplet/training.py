@@ -48,6 +48,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         check_field_types(self)
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be >= 0, got {list(self.seeds)}")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.lr < math.inf:
@@ -70,7 +72,7 @@ def assign_mention_labels(sentence: Sentence, spans: Sequence[Span],
 
     A span annotated as both target and opinion gets the target label.
     Gold spans too wide to enumerate contribute no supervision;
-    ``train_single_seed`` counts them once per training corpus.
+    ``check_splits`` counts them once per experiment.
     """
     targets = sentence.target_spans()
     opinions = sentence.opinion_spans()
@@ -252,13 +254,6 @@ def train_single_seed(model: SpanModel, train: Sequence[Sentence],
     Returns the dev F1 curve, the best epoch and that epoch's dev pass, so
     nothing needs to run dev again on the restored model.
     """
-    if not dev:
-        raise DataError("dev split is empty")
-    gap = model.config.max_span_gap
-    too_wide = sum(j - i > gap for s in train for i, j in s.target_spans() | s.opinion_spans())
-    if too_wide:
-        logger.warning("%d gold spans of the training data exceed the enumeration limit "
-                       "(max_span_gap %d) and get no mention supervision", too_wide, gap)
     optimizer = make_optimizer(model, config)
     rng = np.random.default_rng(seed)
     curve: list[float] = []
@@ -275,14 +270,22 @@ def train_single_seed(model: SpanModel, train: Sequence[Sentence],
     return curve, best_epoch, best_pass
 
 
+def check_splits(gap: int, train: Sequence[Sentence], **others: Sequence[Sentence]) -> None:
+    """Refuse an empty split, and warn once if gold spans of ``train`` exceed ``gap``."""
+    for name, split in {"train": train, **others}.items():
+        if not split:
+            raise DataError(f"{name} split is empty")
+    if wide := sum(j - i > gap for s in train for i, j in s.target_spans() | s.opinion_spans()):
+        logger.warning("%d gold spans of the training data exceed the enumeration limit "
+                       "(max_span_gap %d) and get no mention supervision", wide, gap)
+
+
 def run_experiment(train: Sequence[Sentence], dev: Sequence[Sentence],
                    test: Sequence[Sentence], model_config, train_config: TrainConfig,
                    *, pretrained_embeddings: dict[str, np.ndarray] | None = None,
                    out_dir: str | None = None) -> ExperimentReport:
     """Full protocol: per seed, select the best-dev checkpoint and score it on test."""
-    for name, split in (("train", train), ("dev", dev), ("test", test)):
-        if not split:
-            raise DataError(f"{name} split is empty")
+    check_splits(model_config.max_span_gap, train, dev=dev, test=test)
     vocab = Vocabulary.build(s.tokens for s in train)
     report = ExperimentReport(asdict(model_config), asdict(train_config))
     for seed in train_config.seeds:
@@ -353,6 +356,7 @@ def prune_sweep(train: Sequence[Sentence], dev: Sequence[Sentence], model_config
     ``diagnostics_path`` receives its per-sentence records as JSON lines.
     """
     settings = sweep_settings(model_config, train_config, z_values, modes)
+    check_splits(model_config.max_span_gap, train, dev=dev)
     seed = train_config.seeds[0]
     vocab = Vocabulary.build(s.tokens for s in train)
     rows = []

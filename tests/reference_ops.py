@@ -6,8 +6,11 @@ layer as one ``ad.linear`` node and the relation scorer's layer 0 over
 the pair matrix as one ``ad.pair_linear`` node. These are the
 elementwise, per-row and per-slice ops the older compositions were made
 of, plus the materialized pair matrix; the tests rebuild those
-compositions from them and compare.
+compositions from them and compare. ``bucket_index`` and ``pair_distance``
+are the scalar rules that the library computes on arrays.
 """
+
+import bisect
 
 import numpy as np
 
@@ -108,6 +111,18 @@ def stack(tensors, axis=0):
     return ad._make(data, tuple(tensors), backward)
 
 
+def join(vectors):
+    """Concatenate 1-D tensors end to end; gradients slice back to the inputs."""
+    data = np.concatenate([v.data for v in vectors])
+    offsets = np.cumsum([0] + [v.shape[0] for v in vectors])
+
+    def backward(g):
+        for v, start, stop in zip(vectors, offsets[:-1], offsets[1:]):
+            v._accumulate(g[start:stop])
+
+    return ad._make(data, tuple(vectors), backward)
+
+
 def row(x, index):
     """Single row of a 2-D tensor as a vector."""
     n = x.shape[0]
@@ -166,6 +181,17 @@ def reduce_mean(x, axis=0):
     return ad._make(x.data.mean(axis=axis), (x,), backward)
 
 
+def bucket_index(value):
+    """The bucket of one width or distance: the scalar form of ``enc.bucket_indices``."""
+    return bisect.bisect_left(enc.BUCKET_UPPER, value)
+
+
+def pair_distance(target, opinion):
+    """min(|b - c|, |a - d|) for target (a, b) and opinion (c, d)."""
+    (a, b), (c, d) = target, opinion
+    return min(abs(b - c), abs(a - d))
+
+
 def span_representation(h: Tensor, span, mode, width_table):
     """Vector for one span, built from per-span graph nodes."""
     i, j = span
@@ -181,8 +207,8 @@ def span_representation(h: Tensor, span, mode, width_table):
     else:
         raise DataError(f"unknown span mode {mode!r}; expected one of {enc.SPAN_MODES}")
     if width_table is not None:
-        core.append(row(width_table, enc.bucket_index(enc.span_width(span))))
-    return core[0] if len(core) == 1 else ad.concat(core, axis=0)
+        core.append(row(width_table, bucket_index(enc.span_width(span))))
+    return core[0] if len(core) == 1 else join(core)
 
 
 def span_representation_matrix(h, spans, mode, width_table):

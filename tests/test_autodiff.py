@@ -76,24 +76,30 @@ class TestLinear:
 
 class TestConcat:
     def test_direct_definition(self):
-        out = ad.concat([Tensor([1.0, 2.0]), Tensor([3.0])], axis=0)
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+        out = ad.concat([Tensor([[1.0, 2.0], [4.0, 5.0]]), Tensor([[3.0], [6.0]])], axis=1)
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
     def test_empty_identity(self):
-        x = Tensor([4.0, 5.0])
-        out = ad.concat([x, Tensor(np.zeros(0))], axis=0)
+        x = Tensor([[4.0, 5.0]])
+        out = ad.concat([x, Tensor(np.zeros((1, 0)))], axis=1)
         np.testing.assert_array_equal(out.data, x.data)
 
-    def test_gradient_is_ones_under_sum(self):
-        a = Parameter([1.0, 2.0], name="a")
-        b = Parameter([3.0, 4.0, 5.0], name="b")
-        ref.tensor_sum(ad.concat([a, b], axis=0)).backward()
-        np.testing.assert_array_equal(a.grad, np.ones(2))
-        np.testing.assert_array_equal(b.grad, np.ones(3))
+    def test_gradient_slices_back_to_each_input(self):
+        a = Parameter(np.ones((2, 2)), name="a")
+        b = Parameter(np.ones((2, 3)), name="b")
+        ad.concat([a, b], axis=1).backward(seed=np.arange(10.0).reshape(2, 5))
+        np.testing.assert_array_equal(a.grad, [[0.0, 1.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(b.grad, [[2.0, 3.0, 4.0], [7.0, 8.0, 9.0]])
 
-    def test_incompatible_shapes(self):
-        with pytest.raises(DimensionError):
-            ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
+    @pytest.mark.parametrize("tensors, axis", [
+        ([np.zeros((2, 3)), np.zeros((2, 3))], 0),
+        ([np.zeros(2), np.zeros(3)], 1),
+        ([np.zeros((2, 3)), np.zeros((3, 3))], 1),
+        ([], 1),
+    ], ids=["axis_0", "vectors", "row_counts_differ", "no_tensors"])
+    def test_only_columns_of_matrices_join(self, tensors, axis):
+        with pytest.raises(DimensionError, match="concat"):
+            ad.concat([Tensor(t) for t in tensors], axis=axis)
 
 
 def record_ops(monkeypatch):
@@ -312,7 +318,7 @@ class TestRowsBackwardMatchesAddAt:
 
     def test_empty_gather_still_allocates_the_gradient(self):
         x = Parameter(np.ones((3, 2)), name="x")
-        ref.tensor_sum(ad.concat([ad.rows(x, []), Tensor(np.ones((1, 2)))], axis=0)).backward()
+        ref.tensor_sum(ad.rows(x, [])).backward()
         np.testing.assert_array_equal(x.grad, np.zeros((3, 2)))
 
     def test_gather_returns_a_copy(self):

@@ -67,6 +67,32 @@ class TestStats:
         stats = read_json(out)["corpus.txt"]
         assert stats["sentences"] == 10
 
+    def test_corpora_sharing_a_file_name_keep_one_row_each(self, tmp_path, capsys):
+        # The ASTE-Data-V2 layout: every dataset names its files alike.
+        paths = []
+        for dataset, size in (("14res", 5), ("14lap", 7)):
+            (tmp_path / dataset).mkdir()
+            paths.append(str(tmp_path / dataset / "train_triplets.txt"))
+            dataio.write_corpus(paths[-1], make_fixture(np.random.default_rng(0), size))
+        other = str(tmp_path / "dev.txt")
+        dataio.write_corpus(other, make_fixture(np.random.default_rng(1), 3))
+        out = str(tmp_path / "stats.json")
+        assert main(["stats", *paths, other, "--out", out]) == 0
+        stats = read_json(out)
+        assert list(stats) == [*paths, "dev.txt"]
+        assert [s["sentences"] for s in stats.values()] == [5, 7, 3]
+        printed = capsys.readouterr().out
+        assert all(label in printed for label in stats)
+
+    def test_same_corpus_twice_exits_1_before_any_output(self, corpus_path, tmp_path,
+                                                          capsys):
+        out = tmp_path / "stats.json"
+        assert main(["stats", corpus_path, corpus_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = error_lines(captured.err)
+        assert len(lines) == 1 and corpus_path in lines[0], lines
+        assert captured.out == "" and not out.exists()
+
     def test_parse_error_exits_2_with_line_info(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("fine line####[]\nbroken line without separator\n")
@@ -479,6 +505,18 @@ class TestBadInput:
         assert len(lines) == 1 and re.search(rf"\b{name}\b", lines[0]), lines
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "prune-sweep"])
+    def test_negative_seed_exits_1_before_any_directory(self, tmp_path, corpus_path, capsys,
+                                                        command):
+        argv = [command, "--train", corpus_path, "--out", str(tmp_path / "run"),
+                "--seeds", "-1"]
+        if command == "prune-sweep":
+            argv += ["--z-values", "0.5"]
+        assert main(argv) == 1
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and re.search(r"\bseeds\b", lines[0]), lines
+        assert not (tmp_path / "run").exists()
+
     def test_config_naming_a_directory_exits_1(self, tmp_path, corpus_path, capsys):
         assert main(["train", "--config", str(tmp_path), "--train", corpus_path,
                      "--out", str(tmp_path / "run")]) == 1
@@ -569,15 +607,19 @@ class TestBadInput:
         lines = error_lines(capsys.readouterr().err)
         assert len(lines) == 1 and str(corpus) in lines[0]
 
-    @pytest.mark.parametrize("change", [{"bogus_field": 1}, {"embedding_dim": "6"}],
-                             ids=["unknown", "mistyped"])
+    @pytest.mark.parametrize("change", [
+        {"config": {"bogus_field": 1}}, {"config": {"embedding_dim": "6"}},
+        {"vocab": 5}, {"vocab": ["the", "<unk>"]},
+    ], ids=["unknown", "mistyped", "vocab_not_a_list", "vocab_unk_second"])
     def test_checkpoint_with_bad_stored_config_exits_2(self, tmp_path, corpus_path, capsys,
                                                        change):
         config = ModelConfig(**TINY_MODEL)
         model = SpanModel(config, Vocabulary.build([["the"]]))
         path = str(tmp_path / "bad.ckpt.npz")
-        dataio.save_checkpoint(path, model.parameters(),
-                               {"config": dict(asdict(config), **change), "vocab": model.vocab.tokens})
+        meta = {"config": dict(asdict(config), **change.get("config", {})),
+                "vocab": change.get("vocab", model.vocab.tokens)}
+        dataio.save_checkpoint(path, model.parameters(), meta)
         assert main(["eval", "--checkpoint", path, "--test", corpus_path]) == 2
         lines = error_lines(capsys.readouterr().err)
-        assert len(lines) == 1 and path in lines[0] and next(iter(change)) in lines[0]
+        name = next(iter(change.get("config", change)))
+        assert len(lines) == 1 and path in lines[0] and name in lines[0], lines

@@ -51,7 +51,8 @@ class TestTrainConfigRules:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("epochs", "2"), ("epochs", 1.5), ("epochs", True),
         ("seeds", ()), ("seeds", 3), ("seeds", ["a"]), ("seeds", [0, True]),
-        ("seeds", "01"), ("lr", None), ("weight_decay", float("inf")),
+        ("seeds", "01"), ("seeds", [-1]), ("seeds", [0, -2]), ("lr", None),
+        ("weight_decay", float("inf")),
     ])
     def test_bad_value_is_rejected_naming_the_field(self, field, value):
         with pytest.raises(ConfigurationError, match=field):

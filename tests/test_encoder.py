@@ -29,6 +29,13 @@ class TestVocabulary:
         assert len(vocab) == 3
         assert vocab.lookup("<UNK>") == vocab.lookup(enc.UNK_TOKEN) == vocab.unk_index == 0
 
+    @pytest.mark.parametrize("tokens", [
+        ("<unk>", "a"), 5, ["<unk>", 3], ["<unk>", "a", "a"], ["a", "<unk>"], [],
+    ], ids=["tuple", "int", "non_string", "repeated", "unk_second", "empty"])
+    def test_malformed_token_list_is_rejected(self, tokens):
+        with pytest.raises(DataError):
+            enc.Vocabulary(tokens)
+
 
 class TestEmbeddingFile:
     def test_loads_good_file(self, tmp_path):
@@ -295,11 +302,11 @@ class TestBuckets:
         (64, 9), (70, 9), (1000, 9),
     ])
     def test_bucket_boundaries(self, value, expected):
-        assert enc.bucket_index(value) == expected
+        assert enc.bucket_indices(value) == ref.bucket_index(value) == expected
 
     def test_elementwise_buckets_match_the_scalar_rule(self):
         values = np.arange(200)
-        assert enc.bucket_indices(values).tolist() == [enc.bucket_index(v) for v in values]
+        assert enc.bucket_indices(values).tolist() == [ref.bucket_index(v) for v in values]
         assert enc.bucket_indices(values.reshape(20, 10)).shape == (20, 10)
 
 

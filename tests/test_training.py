@@ -345,18 +345,23 @@ class TestReferenceScale:
         assert isinstance(triplets, list)
 
 
-class TestTrainSingleSeed:
-    def test_too_wide_gold_span_logs_warning(self, caplog):
-        # Two too-wide gold spans in a three-sentence corpus, two epochs:
-        # one warning for the corpus, with the count.
+class TestTooWideGoldSpanWarning:
+    @pytest.mark.parametrize("experiment", ["run_experiment", "prune_sweep"])
+    def test_logged_once_per_experiment(self, caplog, experiment):
+        # Two too-wide gold spans in a three-sentence corpus, two models of
+        # two epochs each: one warning for the experiment, with the count.
         wide = [Sentence(0, list("abcdefgh"), [GoldTriplet((0, 6), (7, 7), "POS")]),
                 Sentence(1, list("abcdefgh"), [GoldTriplet((1, 1), (2, 7), "NEG")]),
                 Sentence(2, list("abcd"), [GoldTriplet((0, 1), (3, 3), "POS")])]
         config = ModelConfig(embedding_dim=4, lstm_hidden=3, ffnn_hidden=4, width_dim=2,
                              distance_dim=3, max_span_gap=2)
-        model = tiny_model(wide, config=config)
         with caplog.at_level("WARNING", logger=training.logger.name):
-            training.train_single_seed(model, wide, wide[2:], TrainConfig(epochs=2), seed=0)
+            if experiment == "run_experiment":
+                run_experiment(wide, wide[2:], wide[2:], config,
+                               TrainConfig(epochs=2, seeds=(0, 1)))
+            else:
+                training.prune_sweep(wide, wide[2:], config, TrainConfig(epochs=2, seeds=(0,)),
+                                     z_values=[0.5], modes=("dual", "single"))
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 1
         assert messages[0].startswith("2 gold spans") and "enumeration limit" in messages[0]

