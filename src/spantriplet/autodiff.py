@@ -356,26 +356,19 @@ def _scatter_rows(x: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
     """Add row ``i`` of ``g`` to row ``idx[i]`` of ``x.grad``, allocating it if needed.
 
     The gradient rows of each distinct index are summed in the order they
-    occur, then each sum is added to its row of ``x.grad``: the same bits
-    as scattering into zeros with ``np.add.at`` and adding that.
+    occur, then each sum is added to its row of ``x.grad``: bincount adds
+    its weights in input order into zeros, so these are the bits of
+    scattering into zeros with ``np.add.at`` and adding that.
     """
     if not x.requires_grad:
         return
     if x.grad is None:
         x.grad = np.zeros_like(x.data)
-    if not idx.size:
-        return
-    order = np.argsort(idx, kind="stable")
-    ordered = idx[order]
-    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    counts = np.diff(np.r_[first, idx.size])
-    sums = np.zeros((first.size,) + g.shape[1:])
-    # Round r adds each index's r-th occurrence; no index repeats
-    # within a round, so the fancy ``+=`` loses nothing.
-    for r in range(counts.max()):
-        live = counts > r
-        sums[live] += g[order[first[live] + r]]
-    x.grad[ordered[first]] += sums
+    seen, where = np.unique(idx, return_inverse=True)
+    width = g.shape[1]
+    flat = where[:, None] * width + np.arange(width)
+    x.grad[seen] += np.bincount(flat.ravel(), weights=g.ravel(),
+                                minlength=seen.size * width).reshape(seen.size, width)
 
 
 def rows(x: Tensor, indices: Sequence[int]) -> Tensor:

@@ -291,7 +291,7 @@ def cmd_stats(args) -> int:
     print(dataio.format_stats_table(stats))
     if args.out is not None:
         atomic_write_text(args.out, json.dumps(
-            {name: s.as_dict() for name, s in stats.items()}, indent=2) + "\n")
+            {name: asdict(s) for name, s in stats.items()}, indent=2) + "\n")
     return 0
 
 

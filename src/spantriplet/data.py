@@ -41,9 +41,6 @@ class GoldTriplet:
     opinion: Span
     sentiment: str
 
-    def key(self) -> tuple[Span, Span, str]:
-        return (self.target, self.opinion, self.sentiment)
-
 
 @dataclass
 class Sentence:
@@ -52,7 +49,7 @@ class Sentence:
     triplets: list[GoldTriplet] = field(default_factory=list)
 
     def triplet_keys(self) -> set[tuple[Span, Span, str]]:
-        return {t.key() for t in self.triplets}
+        return {(t.target, t.opinion, t.sentiment) for t in self.triplets}
 
     def target_spans(self) -> set[Span]:
         return {t.target for t in self.triplets}
@@ -278,9 +275,6 @@ class DatasetStats:
     opinions_unique: int
     targets_total: int
     opinions_total: int
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def dataset_stats(sentences: Sequence[Sentence]) -> DatasetStats:

@@ -8,7 +8,6 @@ widest enumerated span covers max_gap + 1 tokens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -62,13 +61,12 @@ class Vocabulary:
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise DataError("vocabulary contains duplicate tokens")
-        self.unk_index = 0
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def lookup(self, token: str) -> int:
-        return self.index.get(token.lower(), self.unk_index)
+        return self.index.get(token.lower(), 0)  # row 0 is UNK_TOKEN
 
     @classmethod
     def build(cls, sentences: Iterable[Sequence[str]]) -> "Vocabulary":
@@ -151,51 +149,31 @@ def embed_tokens(tokens: Sequence[str], vocab: Vocabulary, table: Parameter) -> 
 # Bidirectional LSTM
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LstmCellParams:
-    """One direction's weights; gate order along the 4H axis is i, f, g, o."""
-
-    w_ih: Parameter  # (input_dim, 4 * hidden)
-    w_hh: Parameter  # (hidden, 4 * hidden)
-    bias: Parameter  # (4 * hidden,)
-
-    @classmethod
-    def create(cls, name: str, input_dim: int, hidden: int,
-               rng: np.random.Generator) -> "LstmCellParams":
-        return cls(
-            w_ih=Parameter(ad.xavier_init((input_dim, 4 * hidden), rng), name=f"{name}.w_ih"),
-            w_hh=Parameter(ad.xavier_init((hidden, 4 * hidden), rng), name=f"{name}.w_hh"),
-            bias=Parameter(np.zeros(4 * hidden), name=f"{name}.bias"),
-        )
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_ih, self.w_hh, self.bias]
+LstmCell = tuple[Parameter, Parameter, Parameter]  # (w_ih, w_hh, bias)
 
 
-@dataclass
-class BiLstmParams:
-    forward: LstmCellParams
-    backward: LstmCellParams
+def lstm_parameters(name: str, input_dim: int, hidden: int,
+                    rng: np.random.Generator) -> tuple[LstmCell, LstmCell]:
+    """The forward and backward directions' ``(w_ih, w_hh, bias)``, named ``{name}.fw.w_ih`` etc.
 
-    @classmethod
-    def create(cls, name: str, input_dim: int, hidden: int,
-               rng: np.random.Generator) -> "BiLstmParams":
-        return cls(
-            forward=LstmCellParams.create(f"{name}.fw", input_dim, hidden, rng),
-            backward=LstmCellParams.create(f"{name}.bw", input_dim, hidden, rng),
-        )
-
-    def parameters(self) -> list[Parameter]:
-        return self.forward.parameters() + self.backward.parameters()
+    ``w_ih`` is (input_dim, 4H), ``w_hh`` (H, 4H) and ``bias`` (4H,), with
+    the gates in the order i, f, g, o along the 4H axis. The forward
+    direction draws first, ``w_ih`` before ``w_hh``; biases start at zero.
+    """
+    return tuple(
+        (Parameter(ad.xavier_init((input_dim, 4 * hidden), rng), name=f"{name}.{d}.w_ih"),
+         Parameter(ad.xavier_init((hidden, 4 * hidden), rng), name=f"{name}.{d}.w_hh"),
+         Parameter(np.zeros(4 * hidden), name=f"{name}.{d}.bias"))
+        for d in ("fw", "bw"))
 
 
-def bilstm_forward(embeddings: Tensor, params: BiLstmParams) -> Tensor:
+def bilstm_forward(embeddings: Tensor, lstm: tuple[LstmCell, LstmCell]) -> Tensor:
     """Contextualize (n, E) embeddings into (n, 2H) forward;backward states.
 
     Both directions start from zero states and use the standard LSTM cell
     recurrence; together they are one fused ``ad.bilstm`` node.
     """
-    return ad.bilstm(embeddings, params.forward.parameters(), params.backward.parameters())
+    return ad.bilstm(embeddings, *lstm)
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,8 @@ class SpanModel:
             enc.build_embedding_table(vocab, config.embedding_dim, init_rng,
                                       pretrained_embeddings),
             name="embedding.table")
-        self.lstm = enc.BiLstmParams.create("lstm", config.embedding_dim,
-                                            config.lstm_hidden, init_rng)
+        self.lstm = enc.lstm_parameters("lstm", config.embedding_dim, config.lstm_hidden,
+                                        init_rng)
         if config.use_width_distance:
             self.width_table = Parameter(
                 init_rng.normal(0.0, 1.0, size=(enc.NUM_BUCKETS, config.width_dim)),
@@ -181,7 +181,7 @@ class SpanModel:
             dropout_p=config.ffnn_dropout, rng=init_rng)
 
     def parameters(self) -> list[Parameter]:
-        params = [self.embedding] + self.lstm.parameters()
+        params = [self.embedding, *self.lstm[0], *self.lstm[1]]
         if self.width_table is not None:
             params += [self.width_table, self.distance_table]
         return params + self.mention_ffnn.parameters() + self.relation_ffnn.parameters()

@@ -152,13 +152,13 @@ def brute_force_stats(sentences):
 class TestDatasetStats:
     def test_empty_corpus_is_all_zero(self):
         stats = dataset_stats([])
-        assert all(v == 0 for v in stats.as_dict().values())
+        assert all(v == 0 for v in asdict(stats).values())
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(2)
         for size in (1, 7, 30):
             corpus = make_fixture(rng, size)
-            assert dataset_stats(corpus).as_dict() == brute_force_stats(corpus)
+            assert asdict(dataset_stats(corpus)) == brute_force_stats(corpus)
 
     def test_sw_mw_partition_triplets(self):
         corpus = make_fixture(np.random.default_rng(3), 25)

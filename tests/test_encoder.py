@@ -17,7 +17,7 @@ class TestVocabulary:
     def test_lookup_and_unk(self):
         vocab = enc.Vocabulary.build([["It", "is", "Great"]])
         assert vocab.lookup("great") == vocab.lookup("Great")
-        assert vocab.lookup("unseen") == vocab.unk_index
+        assert vocab.lookup("unseen") == 0
         assert vocab.tokens[0] == enc.UNK_TOKEN
 
     def test_dense_indices(self):
@@ -27,7 +27,7 @@ class TestVocabulary:
     def test_corpus_unk_token_is_the_unknown_row(self):
         vocab = enc.Vocabulary.build([["the", "<UNK>", "x"]])
         assert len(vocab) == 3
-        assert vocab.lookup("<UNK>") == vocab.lookup(enc.UNK_TOKEN) == vocab.unk_index == 0
+        assert vocab.lookup("<UNK>") == vocab.lookup(enc.UNK_TOKEN) == 0
 
     @pytest.mark.parametrize("tokens", [
         ("<unk>", "a"), 5, ["<unk>", 3], ["<unk>", "a", "a"], ["a", "<unk>"], [],
@@ -101,7 +101,7 @@ class TestEmbedTokens:
         vocab = enc.Vocabulary.build([["hello"]])
         table = Parameter(np.arange(8.0).reshape(2, 4), name="emb")
         out = enc.embed_tokens(["mystery"], vocab, table)
-        np.testing.assert_array_equal(out.data[0], table.data[vocab.unk_index])
+        np.testing.assert_array_equal(out.data[0], table.data[0])
 
     def test_empty_sentence_rejected(self):
         # enumerate_spans, which forward runs before the embedding, is the one check.
@@ -129,50 +129,52 @@ class TestEmbedTokens:
         assert err < 1e-6
 
 
+def flat(lstm):
+    """Both directions' weights in ``SpanModel.parameters()`` order."""
+    return [*lstm[0], *lstm[1]]
+
+
 class TestBiLstm:
     def test_single_token_output_width(self):
         rng = np.random.default_rng(0)
-        params = enc.BiLstmParams.create("lstm", 4, 300, rng)
-        out = enc.bilstm_forward(Tensor(rng.normal(size=(1, 4))), params)
+        lstm = enc.lstm_parameters("lstm", 4, 300, rng)
+        out = enc.bilstm_forward(Tensor(rng.normal(size=(1, 4))), lstm)
         assert out.shape == (1, 600)
 
     def test_zero_weights_give_zero_states(self):
-        params = enc.BiLstmParams.create("lstm", 3, 5, np.random.default_rng(0))
-        for p in params.parameters():
+        lstm = enc.lstm_parameters("lstm", 3, 5, np.random.default_rng(0))
+        for p in flat(lstm):
             p.data[...] = 0.0
         out = enc.bilstm_forward(Tensor(np.random.default_rng(1).normal(size=(4, 3))),
-                                 params)
+                                 lstm)
         np.testing.assert_array_equal(out.data, np.zeros((4, 10)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        params = enc.BiLstmParams.create("lstm", 4, 3, rng)
+        lstm = enc.lstm_parameters("lstm", 4, 3, rng)
         x = Parameter(rng.normal(size=(3, 4)), name="x")
         weights = rng.normal(size=(3, 6))
 
         def loss():
-            out = enc.bilstm_forward(x, params)
+            out = enc.bilstm_forward(x, lstm)
             return ref.tensor_sum(ref.mul(out, Tensor(weights)))
 
-        assert max_gradient_error(loss, params.parameters() + [x]) < 1e-4
+        assert max_gradient_error(loss, flat(lstm) + [x]) < 1e-4
 
     def test_matches_reference_lstm_implementation(self):
         torch = pytest.importorskip("torch")
         rng = np.random.default_rng(7)
         e_dim, hidden, n = 5, 4, 6
-        params = enc.BiLstmParams.create("lstm", e_dim, hidden, rng)
+        lstm = enc.lstm_parameters("lstm", e_dim, hidden, rng)
         x = rng.normal(size=(n, e_dim))
-        ours = enc.bilstm_forward(Tensor(x), params).data
+        ours = enc.bilstm_forward(Tensor(x), lstm).data
 
         ref = torch.nn.LSTM(e_dim, hidden, bidirectional=True).double()
         with torch.no_grad():
-            for direction, cell in (("", params.forward), ("_reverse", params.backward)):
-                getattr(ref, f"weight_ih_l0{direction}").copy_(
-                    torch.from_numpy(cell.w_ih.data.T))
-                getattr(ref, f"weight_hh_l0{direction}").copy_(
-                    torch.from_numpy(cell.w_hh.data.T))
-                getattr(ref, f"bias_ih_l0{direction}").copy_(
-                    torch.from_numpy(cell.bias.data))
+            for direction, (w_ih, w_hh, bias) in zip(("", "_reverse"), lstm):
+                getattr(ref, f"weight_ih_l0{direction}").copy_(torch.from_numpy(w_ih.data.T))
+                getattr(ref, f"weight_hh_l0{direction}").copy_(torch.from_numpy(w_hh.data.T))
+                getattr(ref, f"bias_ih_l0{direction}").copy_(torch.from_numpy(bias.data))
                 getattr(ref, f"bias_hh_l0{direction}").zero_()
             theirs, _ = ref(torch.from_numpy(x).unsqueeze(1))
         np.testing.assert_allclose(ours, theirs.squeeze(1).numpy(), atol=1e-12)
@@ -181,23 +183,24 @@ class TestBiLstm:
         # With a zeroed backward cell, columns H..2H are all zero while the
         # forward half still varies with position.
         rng = np.random.default_rng(3)
-        params = enc.BiLstmParams.create("lstm", 2, 3, rng)
-        for p in params.backward.parameters():
+        lstm = enc.lstm_parameters("lstm", 2, 3, rng)
+        for p in lstm[1]:
             p.data[...] = 0.0
-        out = enc.bilstm_forward(Tensor(rng.normal(size=(4, 2))), params)
+        out = enc.bilstm_forward(Tensor(rng.normal(size=(4, 2))), lstm)
         np.testing.assert_array_equal(out.data[:, 3:], np.zeros((4, 3)))
         assert np.any(out.data[:, :3] != 0.0)
 
 
 def _reference_direction(embeddings, cell, reverse):
-    hidden = cell.w_hh.shape[0]
+    w_ih, w_hh, bias = cell
+    hidden = w_hh.shape[0]
     h = Tensor(np.zeros(hidden))
     c = Tensor(np.zeros(hidden))
     order = range(embeddings.shape[0] - 1, -1, -1) if reverse else range(embeddings.shape[0])
     states = []
     for t in order:
-        gates = ad.add(ad.add(ref.matmul(ref.row(embeddings, t), cell.w_ih),
-                              ref.matmul(h, cell.w_hh)), cell.bias)
+        gates = ad.add(ad.add(ref.matmul(ref.row(embeddings, t), w_ih),
+                              ref.matmul(h, w_hh)), bias)
         i = ref.sigmoid(ref.narrow(gates, 0, hidden))
         f = ref.sigmoid(ref.narrow(gates, hidden, 2 * hidden))
         g = ref.tanh(ref.narrow(gates, 2 * hidden, 3 * hidden))
@@ -210,20 +213,20 @@ def _reference_direction(embeddings, cell, reverse):
     return ref.stack(states, axis=0)
 
 
-def reference_bilstm(embeddings, params):
+def reference_bilstm(embeddings, lstm):
     """The BiLSTM composed per timestep from elementary ops, as an oracle."""
-    return ad.concat([_reference_direction(embeddings, params.forward, False),
-                      _reference_direction(embeddings, params.backward, True)], axis=1)
+    return ad.concat([_reference_direction(embeddings, lstm[0], False),
+                      _reference_direction(embeddings, lstm[1], True)], axis=1)
 
 
 class TestFusedLstmMatchesReference:
     @staticmethod
-    def _run(bilstm, x, params, seed):
-        for p in params.parameters() + [x]:
+    def _run(bilstm, x, lstm, seed):
+        for p in flat(lstm) + [x]:
             p.grad = None
-        out = bilstm(x, params)
+        out = bilstm(x, lstm)
         out.backward(seed=seed)
-        grads = {p.name: p.grad.copy() for p in params.parameters()}
+        grads = {p.name: p.grad.copy() for p in flat(lstm)}
         return out.data, grads, None if x.grad is None else x.grad.copy()
 
     @staticmethod
@@ -232,13 +235,13 @@ class TestFusedLstmMatchesReference:
 
     def _compare(self, e_dim, hidden, n, x_requires_grad):
         rng = np.random.default_rng(100 + n)
-        params = enc.BiLstmParams.create("lstm", e_dim, hidden, rng)
-        for cell in (params.forward, params.backward):
-            cell.bias.data[...] = rng.normal(size=cell.bias.shape)
+        lstm = enc.lstm_parameters("lstm", e_dim, hidden, rng)
+        for _, _, bias in lstm:
+            bias.data[...] = rng.normal(size=bias.shape)
         x = Tensor(rng.normal(size=(n, e_dim)), requires_grad=x_requires_grad)
         seed = rng.normal(size=(n, 2 * hidden))
-        out, grads, x_grad = self._run(enc.bilstm_forward, x, params, seed)
-        ref_out, ref_grads, ref_x_grad = self._run(reference_bilstm, x, params, seed)
+        out, grads, x_grad = self._run(enc.bilstm_forward, x, lstm, seed)
+        ref_out, ref_grads, ref_x_grad = self._run(reference_bilstm, x, lstm, seed)
         self._assert_close(out, ref_out)
         for name, ref in ref_grads.items():
             self._assert_close(grads[name], ref)
@@ -256,10 +259,8 @@ class TestFusedLstmMatchesReference:
         self._compare(5, 4, 7, x_requires_grad=False)
 
     def test_weight_shape_mismatch(self):
-        params = enc.BiLstmParams.create("lstm", 5, 4, np.random.default_rng(0))
-        fw, bw = params.forward, params.backward
-        for cells in (((fw.w_ih, bw.w_ih, fw.bias), bw.parameters()),
-                      (fw.parameters(), (bw.w_ih, bw.w_hh, fw.w_hh))):
+        fw, bw = enc.lstm_parameters("lstm", 5, 4, np.random.default_rng(0))
+        for cells in (((fw[0], bw[0], fw[2]), bw), (fw, (bw[0], bw[1], fw[1]))):
             with pytest.raises(DimensionError):
                 ad.bilstm(Tensor(np.zeros((3, 5))), *cells)
 

@@ -54,13 +54,13 @@ def assert_same_bits(on, off):
 def test_bilstm(monkeypatch, n):
     def build():
         rng = np.random.default_rng(50 + n)
-        params = enc.BiLstmParams.create("lstm", 5, 4, rng)
-        for p in params.parameters():
+        fw, bw = enc.lstm_parameters("lstm", 5, 4, rng)
+        for p in fw + bw:
             p.data[...] = rng.normal(size=p.shape)
         x = Parameter(rng.normal(size=(n, 5)), name="x")
-        out = ad.bilstm(x, params.forward.parameters(), params.backward.parameters())
+        out = ad.bilstm(x, fw, bw)
         out.backward(seed=rng.normal(size=out.shape))
-        return [out.data, x.grad] + [p.grad for p in params.parameters()]
+        return [out.data, x.grad] + [p.grad for p in fw + bw]
 
     on, off = lanes_on_and_off(monkeypatch, build)
     assert_same_bits(on, off)
