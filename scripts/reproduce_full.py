@@ -24,6 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from spantriplet import cli
 from spantriplet.data import find_benchmark_split
+from spantriplet.errors import DataError
 
 DATASETS = ("rest14", "lap14", "rest15", "rest16")
 SPLITS = ("train", "dev", "test")
@@ -40,8 +41,12 @@ def main() -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2, 3, 4])
     args = parser.parse_args()
 
-    paths = {(dataset, split): find_benchmark_split([args.data], dataset, split)
-             for dataset in args.datasets for split in SPLITS}
+    try:
+        paths = {(dataset, split): find_benchmark_split([args.data], dataset, split)
+                 for dataset in args.datasets for split in SPLITS}
+    except DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     missing = [f"{split} file for {dataset}" for (dataset, split), path in paths.items()
                if path is None]
     if missing:

@@ -131,19 +131,28 @@ def find_benchmark_split(roots: Iterable[str], dataset: str, split: str) -> str 
     Accepts the layouts <root>/<dataset>/<split>_triplets.txt and
     <root>/<dataset>/<split>.txt, with the dataset spelled e.g. rest14, 14rest
     or 14res: the domain whole or cut to three letters, on either side of the number.
+    ASTE-Data-V1 and V2 spell the same dataset differently, so when two
+    directories under one root hold the split, a DataError names them both.
     """
     number, domain = dataset[-2:], dataset[:-2]
     names = {f"{a}{b}" for d in (domain, domain[:3]) for a, b in ((d, number), (number, d))}
     for root in roots:
         if not os.path.isdir(root):
             continue
-        for entry in os.listdir(root):
+        found = []
+        for entry in sorted(os.listdir(root)):
             if entry.lower().replace("_", "").replace("-", "") not in names:
                 continue
             for filename in (f"{split}_triplets.txt", f"{split}.txt"):
                 path = os.path.join(root, entry, filename)
                 if os.path.exists(path):
-                    return path
+                    found.append(path)
+                    break
+        if len(found) > 1:
+            raise DataError(f"{dataset} {split}: more than one candidate under {root}: "
+                            f"{', '.join(found)}")
+        if found:
+            return found[0]
     return None
 
 
@@ -164,7 +173,11 @@ def output_directory(path: str) -> str:
 
 
 def atomic_write(path: str, fill: Callable[[IO[bytes]], object]) -> None:
-    """Let ``fill`` stream bytes into a temp file beside ``path``, then rename it onto ``path``."""
+    """Let ``fill`` stream bytes into a temp file beside ``path``, then rename it onto ``path``.
+
+    The file gets the mode a plain ``open`` gives a new file, 0666 less the
+    umask, rather than ``mkstemp``'s 0600.
+    """
     directory = output_directory(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -172,6 +185,9 @@ def atomic_write(path: str, fill: Callable[[IO[bytes]], object]) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "wb") as handle:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             fill(handle)
         os.replace(tmp, path)
     except BaseException:
@@ -210,7 +226,11 @@ def save_checkpoint(path: str, params: Iterable[Parameter],
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns (name -> array, metadata)."""
+    """Read a checkpoint; returns (name -> array, metadata).
+
+    Every parameter must hold finite reals: a NaN weight would only give
+    NaN probabilities, which decoding reads as confident predictions.
+    """
     try:
         with np.load(path, allow_pickle=False) as npz:
             names = set(npz.files)
@@ -228,6 +248,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
             }
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
+    for name, arr in arrays.items():
+        if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite "
+                                  "or non-real value")
     return arrays, meta
 
 

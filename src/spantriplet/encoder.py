@@ -93,7 +93,7 @@ def load_embedding_file(path: str) -> tuple[dict[str, np.ndarray], int]:
     """Read a whitespace-separated text embedding file (token + reals per line).
 
     Malformed lines raise ParseError with their 1-based line number. Returns
-    the token -> vector map and the (uniform) vector dimension.
+    the lowercased token -> vector map and the (uniform) vector dimension.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -118,7 +118,11 @@ def load_embedding_file(path: str) -> tuple[dict[str, np.ndarray], int]:
             raise ParseError(
                 f"embedding width {vec.size} differs from earlier width {dim}", lineno
             )
-        vectors[token.lower()] = vec
+        # A cased file may list several casings of one word: the lowercase
+        # entry keeps its own vector, and otherwise the first casing wins.
+        key = token.lower()
+        if token == key or key not in vectors:
+            vectors[key] = vec
     if dim is None:
         raise ParseError("embedding file is empty", 1)
     return vectors, dim

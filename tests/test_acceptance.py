@@ -18,6 +18,7 @@ from spantriplet import pruning
 from spantriplet.data import (GoldTriplet, Sentence, dataset_stats, find_benchmark_split,
                               load_corpus, make_fixture)
 from spantriplet.encoder import Vocabulary, enumerate_spans
+from spantriplet.errors import DataError
 from spantriplet.model import ModelConfig, SpanModel
 from spantriplet.pruning import SpanCandidate
 from spantriplet.training import (TrainConfig, compute_loss, make_optimizer,
@@ -334,6 +335,24 @@ def test_official_corpus_finder_resolves_common_layouts(tmp_path):
         (tmp_path / name / "dev_triplets.txt").write_text("ok .####[]\n")
         assert find_benchmark_split(roots, dataset, "dev") == str(
             tmp_path / name / "dev_triplets.txt")
+
+
+def test_official_corpus_finder_refuses_two_releases_under_one_root(tmp_path):
+    # ASTE-Data-V1 spells rest14 14rest, V2 spells it 14res: the finder
+    # cannot tell which one the run means.
+    for name in ("14rest", "14res"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "test_triplets.txt").write_text("ok .####[]\n")
+    with pytest.raises(DataError) as info:
+        find_benchmark_split([str(tmp_path)], "rest14", "test")
+    for name in ("14rest", "14res"):
+        assert str(tmp_path / name / "test_triplets.txt") in str(info.value)
+    # an earlier root that has the split still wins
+    first = tmp_path / "first"
+    (first / "rest14").mkdir(parents=True)
+    (first / "rest14" / "test.txt").write_text("ok .####[]\n")
+    assert find_benchmark_split([str(first), str(tmp_path)], "rest14", "test") == str(
+        first / "rest14" / "test.txt")
 
 
 def test_criterion_8_ablation_plumbing():

@@ -623,3 +623,17 @@ class TestBadInput:
         lines = error_lines(capsys.readouterr().err)
         name = next(iter(change.get("config", change)))
         assert len(lines) == 1 and path in lines[0] and name in lines[0], lines
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_with_a_nan_weight_exits_2(self, tmp_path, corpus_path, capsys,
+                                                  command):
+        model = SpanModel(ModelConfig(**TINY_MODEL), Vocabulary.build([["the"]]))
+        model.relation_ffnn.weights[-1].data[0, 0] = np.nan
+        path = str(tmp_path / "nan.ckpt.npz")
+        model.save(path)
+        out = str(tmp_path / "pred.txt")
+        argv = [command, "--checkpoint", path, "--test", corpus_path]
+        assert main(argv + (["--out", out] if command == "predict" else [])) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and path in lines[0] and "relation.w2" in lines[0], lines
+        assert not os.path.exists(out)

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 from dataclasses import asdict
 
 import numpy as np
@@ -217,6 +219,28 @@ class TestFixture:
             make_fixture(np.random.default_rng(8), 0)
 
 
+class TestAtomicWrite:
+    @pytest.fixture
+    def umask_027(self):
+        old = os.umask(0o027)
+        yield
+        os.umask(old)
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path, umask_027):
+        path = tmp_path / "new.txt"
+        dataio.atomic_write_text(str(path), "x\n")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_replaced_file_gets_the_umask_mode(self, tmp_path, umask_027):
+        path = tmp_path / "old.txt"
+        path.write_text("old\n")
+        path.chmod(0o600)
+        dataio.atomic_write_text(str(path), "new\n")
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestCheckpointIO:
     def test_roundtrip_preserves_values(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -261,6 +285,15 @@ class TestCheckpointIO:
             err = capsys.readouterr().err
             lines = [line for line in err.splitlines() if line.startswith("error:")]
             assert "Traceback" not in err and len(lines) == 1 and path in lines[0], err
+
+    @pytest.mark.parametrize("values", [np.array([1.0, np.inf]), np.array([np.nan]),
+                                        np.array(["1.0"])], ids=["inf", "nan", "string"])
+    def test_non_finite_or_non_real_parameter_is_named(self, tmp_path, values):
+        path = str(tmp_path / "model.npz")
+        np.savez(path, __format__=np.array("spantriplet-checkpoint-v1"),
+                 **{"param/w": np.zeros(2), "param/bad": values})
+        with pytest.raises(CheckpointError, match=re.escape(path) + ".*'bad'"):
+            dataio.load_checkpoint(path)
 
     def test_missing_and_unexpected_parameters(self, tmp_path):
         path = str(tmp_path / "model.npz")

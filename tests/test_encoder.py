@@ -45,6 +45,19 @@ class TestEmbeddingFile:
         assert dim == 3
         np.testing.assert_array_equal(vectors["great"], [-1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("text, expected", [
+        ("the 1 1\nThe 2 2\n", [1.0, 1.0]),
+        ("The 2 2\nthe 1 1\n", [1.0, 1.0]),
+        ("The 2 2\nTHE 3 3\n", [2.0, 2.0]),
+    ], ids=["lowercase_first", "lowercase_last", "two_cased_variants"])
+    def test_cased_variants_do_not_replace_the_lowercase_vector(self, tmp_path, text,
+                                                                expected):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text)
+        vectors, _ = enc.load_embedding_file(str(path))
+        assert list(vectors) == ["the"]
+        np.testing.assert_array_equal(vectors["the"], expected)
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("the 0.1 0.2\nbad 0.1 oops\n")

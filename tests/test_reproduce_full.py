@@ -70,3 +70,17 @@ def test_missing_split_fails_before_any_run(tmp_path):
     assert proc.returncode != 0
     assert "dev file for lap14" in proc.stderr
     assert not out.exists()
+
+
+def test_two_releases_of_one_dataset_exit_2_before_any_run(tmp_path):
+    data = write_corpora(tmp_path)
+    (data / "14rest").mkdir()
+    (data / "14rest" / "test_triplets.txt").write_text("ok .####[]\n")
+    out = tmp_path / "out"
+    proc = run(tmp_path, [str(SCRIPT), "--data", str(data), "--out", str(out),
+                          "--datasets", "rest14", *FLAGS], blas_threads="2")
+    assert proc.returncode == 2
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert "Traceback" not in proc.stderr and len(lines) == 1, proc.stderr
+    assert "14rest" in lines[0] and "14res" + os.sep in lines[0]
+    assert not out.exists()
