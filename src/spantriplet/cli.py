@@ -48,7 +48,7 @@ def build_parser() -> _Parser:
         p.add_argument("--dev", dest="dev_path",
                        help="development corpus (default: the training corpus)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seeds", "--seed", nargs="+", type=int, dest="seeds",
+        p.add_argument("--seeds", "--seed", nargs="+", type=int,
                        help="random seeds: train runs once per seed, prune-sweep "
                        "takes one (default 0)")
         p.add_argument("--span-mode", choices=SPAN_MODES)
@@ -94,14 +94,21 @@ def build_parser() -> _Parser:
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-# The config-file sections and "paths" keys each training command reads.
-# "command" is accepted too, so that an echoed config.json is a valid --config.
+# The config-file sections each training command reads. "command" is
+# accepted too, so that an echoed config.json is a valid --config.
 _SECTIONS = {"train": ("paths", "model", "training"),
              "prune-sweep": ("paths", "model", "training", "z_values", "sweep_modes")}
-_PATH_KEYS = {"train": ("train_path", "dev_path", "test_path", "embeddings", "out"),
-              "prune-sweep": ("train_path", "dev_path", "out")}
-_FLAG_TO_MODEL = {"span_mode": "span_mode", "z": "z", "channel_mode": "channel_mode",
-                  "max_span_width": "max_span_gap"}
+# Each training flag's dest -> the config section and key it sets. A command
+# reads the "paths" keys whose flag its parser defines, in this order.
+_FLAGS = {"train_path": ("paths", "train_path"), "dev_path": ("paths", "dev_path"),
+          "test_path": ("paths", "test_path"), "embeddings": ("paths", "embeddings"),
+          "out": ("paths", "out"), "span_mode": ("model", "span_mode"),
+          "z": ("model", "z"), "channel_mode": ("model", "channel_mode"),
+          "max_span_width": ("model", "max_span_gap"), "seeds": ("training", "seeds"),
+          "epochs": ("training", "epochs")}
+# The paths each command cannot run without, and the flag that gives each.
+_REQUIRED = {"train": {"train_path": "--train", "out": "--out"},
+             "prune-sweep": {"train_path": "--train"}}
 # The model fields prune-sweep sets itself, per (z, mode) setting.
 _SWEPT_FIELDS = ("z", "channel_mode")
 
@@ -130,17 +137,21 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
     """Merge defaults, config file, and flags for train or prune-sweep.
 
     Returns the run's echo, which holds only what the command reads, and
-    the model and training configs it records.
+    the model and training configs it records. The echo's paths hold every
+    input path the command reads: dev defaults to train, test to dev.
     """
     command = args.command
+    flags = {dest: target for dest, target in _FLAGS.items() if dest in vars(args)}
     file_cfg = _load_config_file(args.config)
     _reject_unread(file_cfg, ("command",) + _SECTIONS[command], "config keys", command)
     sections = {key: file_cfg.get(key, {}) for key in ("paths", "model", "training")}
     not_objects = [key for key, value in sections.items() if not isinstance(value, dict)]
     if not_objects:
         raise ConfigurationError(f"config sections {not_objects} must be JSON objects")
-    paths, model_cfg, train_cfg = (dict(value) for value in sections.values())
-    _reject_unread(paths, _PATH_KEYS[command], "paths keys", command)
+    sections = {key: dict(value) for key, value in sections.items()}
+    paths, model_cfg, train_cfg = sections.values()
+    path_keys = tuple(key for section, key in flags.values() if section == "paths")
+    _reject_unread(paths, path_keys, "paths keys", command)
     not_strings = sorted(key for key, value in paths.items() if not isinstance(value, str))
     if not_strings:
         raise ConfigurationError(f"paths {not_strings} must be strings")
@@ -151,18 +162,10 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
                                      "--sweep-modes; remove them from the config file")
         train_cfg.setdefault("seeds", [0])
 
-    for key in _PATH_KEYS[command]:
-        value = getattr(args, key)
+    for dest, (section, key) in flags.items():
+        value = getattr(args, dest)
         if value is not None:
-            paths[key] = value
-    for flag, field in _FLAG_TO_MODEL.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            model_cfg[field] = value
-    if args.seeds is not None:
-        train_cfg["seeds"] = args.seeds
-    if args.epochs is not None:
-        train_cfg["epochs"] = args.epochs
+            sections[section][key] = value
 
     model = config_from_dict(ModelConfig, model_cfg)
     train_config = config_from_dict(training.TrainConfig, train_cfg)
@@ -175,18 +178,22 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
         echo["sweep_modes"] = (args.sweep_modes or file_cfg.get("sweep_modes")
                                or list(training.SWEEP_MODES))
         training.sweep_settings(model, train_config, echo["z_values"], echo["sweep_modes"])
+
+    for key, flag in _REQUIRED[command].items():
+        if not paths.get(key):
+            raise ConfigurationError(f"missing required path: {flag}")
+    # An optional out is made later and, as eval's --out, exits 2 if empty.
+    empty = sorted(key for key, value in paths.items() if value == "" and key != "out")
+    if empty:
+        raise ConfigurationError(f"paths {empty} must not be empty")
+    paths.setdefault("dev_path", paths["train_path"])
+    if "test_path" in path_keys:
+        paths.setdefault("test_path", paths["dev_path"])
     return echo, model, train_config
 
 
-def _require(paths: dict, key: str, flag: str) -> str:
-    value = paths.get(key)
-    if not value:
-        raise ConfigurationError(f"missing required path: {flag}")
-    return value
-
-
 def _load_embeddings_if_any(path: str | None, model: ModelConfig):
-    if not path:
+    if path is None:
         return None
     vectors, dim = load_embedding_file(path)
     if dim != model.embedding_dim:
@@ -208,6 +215,15 @@ def _echo_config(config: dict, out_dir: str) -> None:
                       json.dumps(config, indent=2) + "\n")
 
 
+def _publish(out_dir: str | None, name: str, data, text: str) -> None:
+    """Print ``text``; with an ``out_dir``, also write <name>.json and <name>.txt there."""
+    print(text)
+    if out_dir is not None:
+        atomic_write_text(os.path.join(out_dir, f"{name}.json"),
+                          json.dumps(data, indent=2) + "\n")
+        atomic_write_text(os.path.join(out_dir, f"{name}.txt"), text + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -215,26 +231,14 @@ def _echo_config(config: dict, out_dir: str) -> None:
 def cmd_train(args) -> int:
     config, model_config, train_config = resolve_config(args)
     paths = config["paths"]
-    train_path = _require(paths, "train_path", "--train")
-    dev_path = paths.get("dev_path") or train_path
-    test_path = paths.get("test_path") or dev_path
-    paths.setdefault("dev_path", dev_path)
-    paths.setdefault("test_path", test_path)
-    out_dir = _require(paths, "out", "--out")
-    _echo_config(config, out_dir)
-
-    train = dataio.load_corpus(train_path)
-    dev = dataio.load_corpus(dev_path)
-    test = dataio.load_corpus(test_path)
+    _echo_config(config, paths["out"])
+    train, dev, test = (dataio.load_corpus(paths[key])
+                        for key in ("train_path", "dev_path", "test_path"))
     report = training.run_experiment(
         train, dev, test, model_config, train_config,
         pretrained_embeddings=_load_embeddings_if_any(paths.get("embeddings"), model_config),
-        out_dir=out_dir)
-    atomic_write_text(os.path.join(out_dir, "report.json"),
-                      json.dumps(report.as_dict(), indent=2) + "\n")
-    atomic_write_text(os.path.join(out_dir, "report.txt"),
-                      report.render_text() + "\n")
-    print(report.render_text())
+        out_dir=paths["out"])
+    _publish(paths["out"], "report", report.as_dict(), report.render_text())
     return 0
 
 
@@ -253,12 +257,7 @@ def cmd_eval(args) -> int:
                  evalmod.render_prf_table(report["mention_direct"])]
     text += ["", "term extraction, derived from predicted triplets:",
              evalmod.render_prf_table(report["mention_from_triplets"])]
-    rendered = "\n".join(text)
-    print(rendered)
-    if args.out is not None:
-        atomic_write_text(os.path.join(args.out, "eval.json"),
-                          json.dumps(report, indent=2) + "\n")
-        atomic_write_text(os.path.join(args.out, "eval.txt"), rendered + "\n")
+    _publish(args.out, "eval", report, "\n".join(text))
     return 0
 
 
@@ -298,24 +297,15 @@ def cmd_stats(args) -> int:
 def cmd_prune_sweep(args) -> int:
     config, model_config, train_config = resolve_config(args)
     paths = config["paths"]
-    train_path = _require(paths, "train_path", "--train")
-    dev_path = paths.get("dev_path") or train_path
-    paths.setdefault("dev_path", dev_path)
     out_dir = paths.get("out")
     if out_dir is not None:
         _echo_config(config, out_dir)
-    train = dataio.load_corpus(train_path)
-    dev = dataio.load_corpus(dev_path)
+    train, dev = (dataio.load_corpus(paths[key]) for key in ("train_path", "dev_path"))
     rows = training.prune_sweep(
         train, dev, model_config, train_config,
         z_values=config["z_values"], modes=config["sweep_modes"],
         diagnostics_path=(None if out_dir is None else os.path.join(out_dir, "pools.jsonl")))
-    table = training.render_sweep_table(rows)
-    print(table)
-    if out_dir is not None:
-        atomic_write_text(os.path.join(out_dir, "sweep.json"),
-                          json.dumps([asdict(r) for r in rows], indent=2) + "\n")
-        atomic_write_text(os.path.join(out_dir, "sweep.txt"), table + "\n")
+    _publish(out_dir, "sweep", [asdict(r) for r in rows], training.render_sweep_table(rows))
     return 0
 
 

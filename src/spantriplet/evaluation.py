@@ -26,8 +26,14 @@ from .triplet import TripletPrediction, decode_triplets
 
 TripletKey = tuple[Span, Span, str]
 
-EVAL_MODES = ("all", "single_word", "multi_word", "multi_word_target",
-              "multi_word_opinion")
+# Each evaluation mode's filter: whether it counts a (target, opinion, sentiment) key.
+EVAL_MODES = {
+    "all": lambda t: True,
+    "single_word": lambda t: span_width(t[0]) == 1 and span_width(t[1]) == 1,
+    "multi_word": lambda t: span_width(t[0]) > 1 or span_width(t[1]) > 1,
+    "multi_word_target": lambda t: span_width(t[0]) > 1,
+    "multi_word_opinion": lambda t: span_width(t[1]) > 1,
+}
 FILTER_SIDES = ("both", "gold")
 
 MENTION_TASKS = {"ATE": "target", "OTE": "opinion"}
@@ -57,20 +63,6 @@ class PRF:
                 "precision": self.precision, "recall": self.recall, "f1": self.f1}
 
 
-def mode_predicate(mode: str):
-    if mode == "all":
-        return lambda t: True
-    if mode == "single_word":
-        return lambda t: span_width(t[0]) == 1 and span_width(t[1]) == 1
-    if mode == "multi_word":
-        return lambda t: span_width(t[0]) > 1 or span_width(t[1]) > 1
-    if mode == "multi_word_target":
-        return lambda t: span_width(t[0]) > 1
-    if mode == "multi_word_opinion":
-        return lambda t: span_width(t[1]) > 1
-    raise ConfigurationError(f"unknown eval mode {mode!r}; expected one of {EVAL_MODES}")
-
-
 def triplet_prf(gold: Mapping[int, Iterable[TripletKey]],
                 pred: Mapping[int, Iterable[TripletKey]],
                 mode: str = "all", filter_side: str = "both") -> PRF:
@@ -81,7 +73,10 @@ def triplet_prf(gold: Mapping[int, Iterable[TripletKey]],
     """
     if filter_side not in FILTER_SIDES:
         raise ConfigurationError(f"filter_side must be one of {FILTER_SIDES}")
-    keep = mode_predicate(mode)
+    if mode not in EVAL_MODES:
+        raise ConfigurationError(
+            f"unknown eval mode {mode!r}; expected one of {tuple(EVAL_MODES)}")
+    keep = EVAL_MODES[mode]
     gold = {sid: {t for t in triplets if keep(t)} for sid, triplets in gold.items()}
     if filter_side == "both":
         pred = {sid: {t for t in triplets if keep(t)} for sid, triplets in pred.items()}
@@ -207,7 +202,7 @@ def corpus_pass(model: SpanModel, sentences: Sequence[Sentence]) -> CorpusPass:
 
 
 def evaluate_model(model: SpanModel, sentences: Sequence[Sentence],
-                   modes: Sequence[str] = EVAL_MODES) -> dict:
+                   modes: Iterable[str] = EVAL_MODES) -> dict:
     """Triplet PRF per mode (both filter conventions) plus the term-extraction tasks.
 
     One forward pass per sentence feeds the triplets and, with the 3-class

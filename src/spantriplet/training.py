@@ -50,6 +50,8 @@ class TrainConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if min(self.seeds) < 0:
             raise ConfigurationError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if repeated := sorted({s for s in self.seeds if self.seeds.count(s) > 1}):
+            raise ConfigurationError(f"seeds must be distinct, got {repeated} more than once")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.lr < math.inf:
@@ -194,48 +196,35 @@ class SeedResult:
     best_epoch: int
     dev_f1_curve: list[float]
     test: PRF
-    checkpoint_path: str | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed, "best_epoch": self.best_epoch,
-            "dev_f1_curve": self.dev_f1_curve,
-            "test": self.test.as_dict(),
-            "checkpoint": self.checkpoint_path,
-        }
+    checkpoint: str | None = None
 
 
 @dataclass
 class ExperimentReport:
     model_config: dict
     train_config: dict
-    seed_results: list[SeedResult] = field(default_factory=list)
+    seeds: list[SeedResult] = field(default_factory=list)
 
     def mean_scores(self) -> dict[str, float]:
         """Means of the per-seed precision, recall and F1 scores."""
-        return {name: float(np.mean([getattr(r.test, name) for r in self.seed_results]))
+        return {name: float(np.mean([getattr(r.test, name) for r in self.seeds]))
                 for name in ("precision", "recall", "f1")}
 
     def pooled_counts_prf(self) -> PRF:
         """PRF of the summed tp/fp/fn over seeds, the other averaging convention."""
-        return PRF.from_counts(sum(r.test.tp for r in self.seed_results),
-                               sum(r.test.fp for r in self.seed_results),
-                               sum(r.test.fn for r in self.seed_results))
+        return PRF.from_counts(sum(r.test.tp for r in self.seeds),
+                               sum(r.test.fp for r in self.seeds),
+                               sum(r.test.fn for r in self.seeds))
 
     def as_dict(self) -> dict:
         pooled = self.pooled_counts_prf()
-        return {
-            "model_config": self.model_config,
-            "train_config": self.train_config,
-            "seeds": [r.as_dict() for r in self.seed_results],
-            "mean": self.mean_scores(),
-            "pooled_counts": {"precision": pooled.precision, "recall": pooled.recall,
-                              "f1": pooled.f1},
-        }
+        return {**asdict(self), "mean": self.mean_scores(),
+                "pooled_counts": {"precision": pooled.precision, "recall": pooled.recall,
+                                  "f1": pooled.f1}}
 
     def render_text(self) -> str:
         lines = ["seed  best_epoch  test_P    test_R    test_F1"]
-        for r in self.seed_results:
+        for r in self.seeds:
             lines.append(f"{r.seed:<6}{r.best_epoch:<12}{r.test.precision:<10.4f}"
                          f"{r.test.recall:<10.4f}{r.test.f1:.4f}")
         mean, pooled = self.mean_scores(), self.pooled_counts_prf()
@@ -292,13 +281,13 @@ def run_experiment(train: Sequence[Sentence], dev: Sequence[Sentence],
         model = SpanModel(model_config, vocab, seed=seed,
                           pretrained_embeddings=pretrained_embeddings)
         curve, best_epoch, _ = train_single_seed(model, train, dev, train_config, seed)
-        checkpoint_path = None
+        checkpoint = None
         if out_dir is not None:
-            checkpoint_path = os.path.join(out_dir, f"seed{seed}.ckpt.npz")
-            model.save(checkpoint_path, extra_meta={"seed": seed, "best_epoch": best_epoch})
-        report.seed_results.append(SeedResult(
+            checkpoint = os.path.join(out_dir, f"seed{seed}.ckpt.npz")
+            model.save(checkpoint, extra_meta={"seed": seed, "best_epoch": best_epoch})
+        report.seeds.append(SeedResult(
             seed=seed, best_epoch=best_epoch, dev_f1_curve=curve,
-            test=corpus_pass(model, test).score(), checkpoint_path=checkpoint_path))
+            test=corpus_pass(model, test).score(), checkpoint=checkpoint))
     return report
 
 
@@ -333,6 +322,9 @@ def sweep_settings(model_config: ModelConfig, train_config: TrainConfig, z_value
                                  f"of numbers, got {z_values!r}")
     if not isinstance(modes, (list, tuple)) or not all(m in SWEEP_MODES for m in modes):
         raise ConfigurationError(f"sweep_modes must be a list of {SWEEP_MODES}, got {modes!r}")
+    for name, values in (("z_values", z_values), ("sweep_modes", modes)):
+        if repeated := sorted({v for v in values if values.count(v) > 1}):
+            raise ConfigurationError(f"{name} must be distinct, got {repeated} more than once")
     if len(train_config.seeds) > 1:
         raise ConfigurationError(f"the sweep trains one seed, got {list(train_config.seeds)}")
     settings = []

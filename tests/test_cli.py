@@ -11,7 +11,7 @@ import pytest
 
 import spantriplet
 from spantriplet import data as dataio
-from spantriplet.cli import build_parser, main
+from spantriplet.cli import _FLAGS, build_parser, main
 from spantriplet.data import make_fixture
 from spantriplet.encoder import Vocabulary
 from spantriplet.evaluation import triplet_prf
@@ -123,6 +123,11 @@ class TestTrain:
         assert (run / "seed0.ckpt.npz").exists()
         report = read_json(run / "report.json")
         assert len(report["seeds"]) == 1
+        # The report's dataclass fields are the file's keys, so a rename shows here.
+        assert list(report) == ["model_config", "train_config", "seeds", "mean",
+                                "pooled_counts"]
+        assert list(report["seeds"][0]) == ["seed", "best_epoch", "dev_f1_curve", "test",
+                                            "checkpoint"]
         echoed = read_json(run / "config.json")
         assert echoed["model"]["embedding_dim"] == 6
         assert echoed["training"]["epochs"] == 2
@@ -388,6 +393,15 @@ class TestCommandOptions:
                  for name, p in sub.choices.items()}
         assert found == self.EXPECTED
 
+    @pytest.mark.parametrize("command", ["train", "prune-sweep"])
+    def test_every_training_flag_sets_a_config_key(self, command):
+        # A dest outside the table would be parsed and then silently ignored.
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+        unset = dests - set(_FLAGS) - {"command", "config", "z_values", "sweep_modes"}
+        assert unset == set()
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--checkpoint", "m.ckpt.npz", "--test", "c.txt", "--z", "1"],
         ["predict", "--checkpoint", "m.ckpt.npz", "--test", "c.txt", "--out", "p.txt",
@@ -515,6 +529,43 @@ class TestBadInput:
         assert main(argv) == 1
         lines = error_lines(capsys.readouterr().err)
         assert len(lines) == 1 and re.search(r"\bseeds\b", lines[0]), lines
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, flags, name", [
+        ("train", ["--seeds", "0", "0"], "seeds"),
+        ("prune-sweep", ["--z-values", "0.5", "0.5"], "z_values"),
+        ("prune-sweep", ["--z-values", "0.5", "--sweep-modes", "dual", "dual"],
+         "sweep_modes"),
+    ])
+    def test_repeated_setting_exits_1_before_any_directory(self, tmp_path, corpus_path,
+                                                           capsys, command, flags, name):
+        assert main([command, "--train", corpus_path, "--out", str(tmp_path / "run"),
+                     "--config", make_config(tmp_path, corpus_path)] + flags) == 1
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and re.search(rf"\b{name}\b.*more than once", lines[0]), lines
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, flag, key", [
+        ("train", "--dev", "dev_path"), ("train", "--test", "test_path"),
+        ("train", "--embeddings", "embeddings"), ("prune-sweep", "--dev", "dev_path"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_input_path_exits_1_before_any_directory(self, tmp_path, corpus_path,
+                                                           capsys, command, flag, key,
+                                                           source):
+        config = {"model": TINY_MODEL, "training": {"epochs": 1, "seeds": [0]}}
+        argv = [command, "--train", corpus_path, "--out", str(tmp_path / "run")]
+        if source == "flag":
+            argv += [flag, ""]
+        else:
+            config["paths"] = {key: ""}
+        if command == "prune-sweep":
+            config["z_values"] = [0.5]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(argv + ["--config", str(path)]) == 1
+        lines = error_lines(capsys.readouterr().err)
+        assert lines == [f"error: paths [{key!r}] must not be empty"]
         assert not (tmp_path / "run").exists()
 
     def test_config_naming_a_directory_exits_1(self, tmp_path, corpus_path, capsys):

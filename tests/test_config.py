@@ -51,7 +51,8 @@ class TestTrainConfigRules:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("epochs", "2"), ("epochs", 1.5), ("epochs", True),
         ("seeds", ()), ("seeds", 3), ("seeds", ["a"]), ("seeds", [0, True]),
-        ("seeds", "01"), ("seeds", [-1]), ("seeds", [0, -2]), ("lr", None),
+        ("seeds", "01"), ("seeds", [-1]), ("seeds", [0, -2]), ("seeds", [0, 0]),
+        ("seeds", [1, 2, 1]), ("lr", None),
         ("weight_decay", float("inf")),
     ])
     def test_bad_value_is_rejected_naming_the_field(self, field, value):
@@ -96,6 +97,8 @@ class TestSweepSettings:
         ([0.5], ["bogus"], (0,), "sweep_modes"),
         ([0.5], "dual", (0,), "sweep_modes"),
         ([0.5], ["dual"], (0, 1), "one seed"),
+        ([0.5, 0.25, 0.5], ["dual"], (0,), r"z_values must be distinct, got \[0\.5\]"),
+        ([0.5], ["dual", "single", "dual"], (0,), r"sweep_modes .* got \['dual'\]"),
     ])
     def test_bad_sweep_is_rejected(self, z_values, modes, seeds, message):
         with pytest.raises(ConfigurationError, match=message):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -372,8 +372,8 @@ class TestRunExperiment:
         fixture = make_fixture(np.random.default_rng(8), 6)
         config = TrainConfig(epochs=1, seeds=(0,))
         report = run_experiment(fixture, fixture, fixture, TEST_CONFIG, config)
-        assert len(report.seed_results) == 1
-        row = report.seed_results[0]
+        assert len(report.seeds) == 1
+        row = report.seeds[0]
         assert row.best_epoch == 0
         assert report.mean_scores()["f1"] == pytest.approx(row.test.f1)
 
@@ -381,20 +381,21 @@ class TestRunExperiment:
         fixture = make_fixture(np.random.default_rng(9), 6)
         config = TrainConfig(epochs=1, seeds=(0, 1))
         report = run_experiment(fixture, fixture, fixture, TEST_CONFIG, config)
-        f1s = [r.test.f1 for r in report.seed_results]
+        f1s = [r.test.f1 for r in report.seeds]
         assert report.mean_scores()["f1"] == pytest.approx(sum(f1s) / len(f1s))
         pooled = report.pooled_counts_prf()
-        tp = sum(r.test.tp for r in report.seed_results)
-        fp = sum(r.test.fp for r in report.seed_results)
-        fn = sum(r.test.fn for r in report.seed_results)
+        tp = sum(r.test.tp for r in report.seeds)
+        fp = sum(r.test.fp for r in report.seeds)
+        fn = sum(r.test.fn for r in report.seeds)
         expected_p = tp / (tp + fp) if tp + fp else 0.0
         assert pooled.precision == pytest.approx(expected_p)
 
     def test_identical_seeds_give_identical_rows(self):
+        # A config repeats no seed, so the same seed runs in three experiments.
         fixture = make_fixture(np.random.default_rng(10), 6)
-        config = TrainConfig(epochs=1, seeds=(2, 2, 2))
-        report = run_experiment(fixture, fixture, fixture, TEST_CONFIG, config)
-        rows = [r.as_dict() for r in report.seed_results]
+        config = TrainConfig(epochs=1, seeds=(2,))
+        rows = [asdict(r) for _ in range(3)
+                for r in run_experiment(fixture, fixture, fixture, TEST_CONFIG, config).seeds]
         assert rows[0] == rows[1] == rows[2]
 
     def test_missing_split_is_an_input_error(self):
