@@ -28,7 +28,7 @@ from .autodiff import set_blas_threads
 from .data import atomic_write_text
 from .encoder import SPAN_MODES, load_embedding_file
 from .errors import ConfigurationError, DataError, NumericalError
-from .model import ModelConfig, SpanModel, config_from_dict
+from .model import ModelConfig, SpanModel, check_distinct, config_from_dict
 from .pruning import CHANNEL_MODES
 
 
@@ -276,9 +276,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    repeated = sorted({path for path in args.corpora if args.corpora.count(path) > 1})
-    if repeated:
-        raise ConfigurationError(f"stats: corpora given more than once: {repeated}")
+    check_distinct("stats: corpora", args.corpora)
     if args.out is not None:
         dataio.output_directory(args.out)  # a missing directory fails before any output
     # A row is labelled by its file name unless another corpus shares it.

@@ -47,6 +47,12 @@ def check_field_types(config) -> None:
             raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
 
 
+def check_distinct(name: str, values) -> None:
+    """Raise ConfigurationError naming ``name`` if any of ``values`` repeats."""
+    if repeated := sorted({v for v in values if values.count(v) > 1}):
+        raise ConfigurationError(f"{name} given more than once: {repeated}")
+
+
 def config_from_dict(cls, raw):
     """Build the config dataclass ``cls`` from a JSON object; every key must be a field."""
     if not isinstance(raw, dict):

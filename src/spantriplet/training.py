@@ -30,7 +30,8 @@ from .data import Sentence, atomic_write_text
 from .encoder import Span, Vocabulary
 from .errors import ConfigurationError, DataError, NumericalError
 from .evaluation import PRF, CorpusPass, corpus_pass
-from .model import ModelConfig, SentenceOutput, SpanModel, check_field_types, has_kind
+from .model import (ModelConfig, SentenceOutput, SpanModel, check_distinct, check_field_types,
+                    has_kind)
 from .pruning import (MENTION_INVALID, MENTION_OPINION, MENTION_TARGET,
                       SINGLE_INVALID, SINGLE_VALID, SpanCandidate)
 from .triplet import RELATION_CLASSES, RELATION_INVALID
@@ -50,8 +51,7 @@ class TrainConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if min(self.seeds) < 0:
             raise ConfigurationError(f"seeds must be >= 0, got {list(self.seeds)}")
-        if repeated := sorted({s for s in self.seeds if self.seeds.count(s) > 1}):
-            raise ConfigurationError(f"seeds must be distinct, got {repeated} more than once")
+        check_distinct("seeds", self.seeds)
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.lr < math.inf:
@@ -322,9 +322,8 @@ def sweep_settings(model_config: ModelConfig, train_config: TrainConfig, z_value
                                  f"of numbers, got {z_values!r}")
     if not isinstance(modes, (list, tuple)) or not all(m in SWEEP_MODES for m in modes):
         raise ConfigurationError(f"sweep_modes must be a list of {SWEEP_MODES}, got {modes!r}")
-    for name, values in (("z_values", z_values), ("sweep_modes", modes)):
-        if repeated := sorted({v for v in values if values.count(v) > 1}):
-            raise ConfigurationError(f"{name} must be distinct, got {repeated} more than once")
+    check_distinct("z_values", z_values)
+    check_distinct("sweep_modes", modes)
     if len(train_config.seeds) > 1:
         raise ConfigurationError(f"the sweep trains one seed, got {list(train_config.seeds)}")
     settings = []

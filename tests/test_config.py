@@ -97,8 +97,8 @@ class TestSweepSettings:
         ([0.5], ["bogus"], (0,), "sweep_modes"),
         ([0.5], "dual", (0,), "sweep_modes"),
         ([0.5], ["dual"], (0, 1), "one seed"),
-        ([0.5, 0.25, 0.5], ["dual"], (0,), r"z_values must be distinct, got \[0\.5\]"),
-        ([0.5], ["dual", "single", "dual"], (0,), r"sweep_modes .* got \['dual'\]"),
+        ([0.5, 0.25, 0.5], ["dual"], (0,), r"z_values given more than once: \[0\.5\]"),
+        ([0.5], ["dual", "single", "dual"], (0,), r"sweep_modes given more than once: \['dual'\]"),
     ])
     def test_bad_sweep_is_rejected(self, z_values, modes, seeds, message):
         with pytest.raises(ConfigurationError, match=message):
