@@ -347,11 +347,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-def _check_rows(name: str, idx: np.ndarray, n: int) -> None:
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"{name} indices out of range for {n} rows: {idx.tolist()}")
-
-
 def _scatter_rows(x: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
     """Add row ``i`` of ``g`` to row ``idx[i]`` of ``x.grad``, allocating it if needed.
 
@@ -374,7 +369,8 @@ def _scatter_rows(x: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
 def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of a 2-D tensor; repeated indices accumulate gradient."""
     idx = np.asarray(indices, dtype=np.intp)
-    _check_rows("row", idx, x.shape[0])
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        raise IndexError(f"row indices out of range for {x.shape[0]} rows: {idx.tolist()}")
 
     def backward(g: np.ndarray) -> None:
         _scatter_rows(x, idx, g)
@@ -394,7 +390,10 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
 
     ``x`` is the (kt * ko, 2D + dd) pair matrix: row ``a * ko + b`` is
     ``[reps[targets[a]]; reps[opinions[b]]; table[buckets[a * ko + b]]]``;
-    without a table the last block is absent and ``buckets`` must be None.
+    without a table the last block is absent and ``buckets`` is None. The
+    one caller, ``SpanModel.forward``, passes pool indices below the rows of
+    ``reps``, buckets below the table's rows and a weight of pair-row width,
+    so nothing here checks them.
     ``x`` never exists whole. The forward writes it a block of whole target
     groups at a time, about ``PAIR_BLOCK_ROWS`` rows, into the scratch
     buffer ``w`` keeps, and runs that block's GEMM into its rows of the
@@ -415,26 +414,11 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
     """
     t_idx = np.asarray(targets, dtype=np.intp)
     o_idx = np.asarray(opinions, dtype=np.intp)
-    if reps.ndim != 2 or t_idx.ndim != 1 or o_idx.ndim != 1:
-        raise DimensionError(f"pair_linear: needs (S, D) rows and 1-D pools, got "
-                             f"{reps.shape}, {t_idx.shape} and {o_idx.shape}")
-    n, dim = reps.shape
-    _check_rows("target", t_idx, n)
-    _check_rows("opinion", o_idx, n)
-    kt, ko = t_idx.size, o_idx.size
-    if (table is None) != (buckets is None):
-        raise DimensionError("pair_linear: a distance table needs buckets and vice versa")
-    width = 2 * dim
     if table is not None:
         b_idx = np.asarray(buckets, dtype=np.intp)
-        if table.ndim != 2 or b_idx.shape != (kt * ko,):
-            raise DimensionError(f"pair_linear: needs a 2-D table and {kt} x {ko} "
-                                 f"buckets, got {table.shape} and {b_idx.shape}")
-        _check_rows("bucket", b_idx, table.shape[0])
-        width += table.shape[1]
-    if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
-        raise DimensionError(f"pair_linear: pair rows of width {width} need a ({width}, out) "
-                             f"weight and (out,) bias, got {w.shape} and {b.shape}")
+    dim = reps.shape[1]
+    kt, ko = t_idx.size, o_idx.size
+    width = w.shape[0]
     data = np.empty((kt * ko, w.shape[1]))
     # A block holds at least one target, so an opinion pool wider than a
     # block gives one target per block.
@@ -495,13 +479,11 @@ def span_pool(h: Tensor, starts: Sequence[int], ends: Sequence[int], mode: str) 
     to its first argmax row and spreads the mean's gradient as g / width over
     the span's rows, summed in span order into one zeros buffer for ``h``.
     Any ``mode`` but "max" means the mean: the one caller maps the span mode,
-    which ``ModelConfig`` checks, to one of the two.
+    which ``ModelConfig`` checks, to one of the two. Its ``starts`` and
+    ``ends`` are the columns of one (S, 2) array; only their bounds are checked.
     """
     starts = np.asarray(starts, dtype=np.intp)
     ends = np.asarray(ends, dtype=np.intp)
-    if h.ndim != 2 or starts.ndim != 1 or starts.shape != ends.shape:
-        raise DimensionError(f"span_pool: needs (n, D) rows and equal-length 1-D bounds, "
-                             f"got {h.shape}, {starts.shape} and {ends.shape}")
     n, dim = h.shape
     if starts.size and (starts.min() < 0 or ends.max() >= n or (ends < starts).any()):
         raise IndexError(f"span bounds out of range for {n} rows: "
@@ -624,7 +606,8 @@ def _lstm_backward(g: np.ndarray, xs: np.ndarray, saved: tuple[np.ndarray, ...],
 def bilstm(x: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor]) -> Tensor:
     """Both LSTM directions over an (n, E) sequence as one (n, 2H) graph node.
 
-    ``fw`` and ``bw`` are each direction's (w_ih, w_hh, bias), with gate
+    ``fw`` and ``bw`` are each direction's (w_ih, w_hh, bias), shaped as
+    ``encoder.lstm_parameters`` builds them (unchecked here), with gate
     order i, f, g, o along the 4H axis; they must not share a tensor, as
     the two directions may write their gradients at once. Columns
     :H hold the forward direction's states and H: the backward one's,
@@ -640,20 +623,8 @@ def bilstm(x: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor]) -> Tensor:
     own arrays and weight gradients; the input gradient is added after
     both, the forward direction's first.
     """
-    fw, bw = tuple(fw), tuple(bw)
-    if x.ndim != 2 or any(len(cell) != 3 or cell[1].ndim != 2 for cell in (fw, bw)):
-        raise DimensionError(f"bilstm: expected 2-D input and per direction (w_ih, w_hh, "
-                             f"bias) with a 2-D w_hh, got {x.shape} and "
-                             f"{[[t.shape for t in cell] for cell in (fw, bw)]}")
-    n, in_dim = x.shape
+    n = x.shape[0]
     hidden = fw[1].shape[0]
-    needed = ((in_dim, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))
-    for name, cell in zip(("forward", "backward"), (fw, bw)):
-        if tuple(t.shape for t in cell) != needed:
-            raise DimensionError(
-                f"bilstm: input {x.shape} with hidden size {hidden} needs w_ih, w_hh "
-                f"and bias of shapes {needed}, the {name} direction has "
-                f"{tuple(t.shape for t in cell)}")
     # Each direction runs in its reading order; only the ends are flipped.
     reading = (x.data, x.data[::-1])
     data = np.empty((n, 2 * hidden))

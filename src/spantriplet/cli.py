@@ -3,8 +3,8 @@
 Subcommands: train, eval, predict, stats, prune-sweep. Each accepts only
 the flags it reads. train and prune-sweep also read a JSON config file
 (--config) whose keys must all be ones the command reads; flags win.
-Both echo the configuration they run into their output directory before
-any work starts, and every file is written atomically. eval and predict
+Both read every input, then echo the configuration they run into their
+output directory, and every file is written atomically. eval and predict
 take the model and its configuration from the checkpoint. Every command
 pins numpy's BLAS to one thread first, so a run replays bit for bit.
 
@@ -174,9 +174,9 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
     if command == "prune-sweep":
         for field in _SWEPT_FIELDS:
             del echo["model"][field]
-        echo["z_values"] = args.z_values or file_cfg.get("z_values") or []
-        echo["sweep_modes"] = (args.sweep_modes or file_cfg.get("sweep_modes")
-                               or list(training.SWEEP_MODES))
+        for key, default in (("z_values", []), ("sweep_modes", list(training.SWEEP_MODES))):
+            flag = getattr(args, key)
+            echo[key] = flag if flag is not None else file_cfg.get(key, default)
         training.sweep_settings(model, train_config, echo["z_values"], echo["sweep_modes"])
 
     for key, flag in _REQUIRED[command].items():
@@ -231,13 +231,12 @@ def _publish(out_dir: str | None, name: str, data, text: str) -> None:
 def cmd_train(args) -> int:
     config, model_config, train_config = resolve_config(args)
     paths = config["paths"]
-    _echo_config(config, paths["out"])
     train, dev, test = (dataio.load_corpus(paths[key])
                         for key in ("train_path", "dev_path", "test_path"))
-    report = training.run_experiment(
-        train, dev, test, model_config, train_config,
-        pretrained_embeddings=_load_embeddings_if_any(paths.get("embeddings"), model_config),
-        out_dir=paths["out"])
+    embeddings = _load_embeddings_if_any(paths.get("embeddings"), model_config)
+    _echo_config(config, paths["out"])
+    report = training.run_experiment(train, dev, test, model_config, train_config,
+                                     pretrained_embeddings=embeddings, out_dir=paths["out"])
     _publish(paths["out"], "report", report.as_dict(), report.render_text())
     return 0
 
@@ -296,9 +295,9 @@ def cmd_prune_sweep(args) -> int:
     config, model_config, train_config = resolve_config(args)
     paths = config["paths"]
     out_dir = paths.get("out")
+    train, dev = (dataio.load_corpus(paths[key]) for key in ("train_path", "dev_path"))
     if out_dir is not None:
         _echo_config(config, out_dir)
-    train, dev = (dataio.load_corpus(paths[key]) for key in ("train_path", "dev_path"))
     rows = training.prune_sweep(
         train, dev, model_config, train_config,
         z_values=config["z_values"], modes=config["sweep_modes"],

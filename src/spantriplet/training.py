@@ -320,8 +320,9 @@ def sweep_settings(model_config: ModelConfig, train_config: TrainConfig, z_value
     if not has_kind(z_values, "tuple[float, ...]"):
         raise ConfigurationError("the sweep needs z_values (--z-values), a non-empty list "
                                  f"of numbers, got {z_values!r}")
-    if not isinstance(modes, (list, tuple)) or not all(m in SWEEP_MODES for m in modes):
-        raise ConfigurationError(f"sweep_modes must be a list of {SWEEP_MODES}, got {modes!r}")
+    if not (has_kind(modes, "tuple[str, ...]") and set(modes) <= set(SWEEP_MODES)):
+        raise ConfigurationError(f"sweep_modes must be a non-empty list of {SWEEP_MODES}, "
+                                 f"got {modes!r}")
     check_distinct("z_values", z_values)
     check_distinct("sweep_modes", modes)
     if len(train_config.seeds) > 1:

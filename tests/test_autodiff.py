@@ -525,29 +525,6 @@ class TestPairLinear:
         train_epoch(model, fixture, optimizer, np.random.default_rng(32))
         assert w._scratch is kept
 
-    def test_out_of_range_indices(self):
-        reps, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 1)))
-        w, b = Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))
-        for targets, opinions, buckets in (([0, 3], [1], [0, 0]), ([0], [-1], [0]),
-                                           ([0], [1], [4]), ([0], [1], [-1])):
-            with pytest.raises(IndexError):
-                ad.pair_linear(reps, targets, opinions, table, buckets, w, b)
-
-    def test_bucket_count_and_table_must_agree(self):
-        reps, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 1)))
-        b = Tensor(np.zeros(2))
-        for tab, buckets in ((table, [0]), (table, None), (None, [0, 0])):
-            w = Tensor(np.zeros((4 + (tab is not None), 2)))
-            with pytest.raises(DimensionError):
-                ad.pair_linear(reps, [0, 1], [2], tab, buckets, w, b)
-
-    def test_weight_must_fit_the_pair_width(self):
-        reps, table = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 1)))
-        for w, b in ((np.zeros((4, 2)), np.zeros(2)), (np.zeros((5, 2)), np.zeros(3)),
-                     (np.zeros(5), np.zeros(()))):
-            with pytest.raises(DimensionError):
-                ad.pair_linear(reps, [0, 1], [2], table, [0, 1], Tensor(w), Tensor(b))
-
 
 class TestWeightGradientsAccumulate:
     """A second backward without zero_grad adds, never overwrites."""

@@ -14,6 +14,7 @@ from spantriplet import data as dataio
 from spantriplet.cli import _FLAGS, build_parser, main
 from spantriplet.data import make_fixture
 from spantriplet.encoder import Vocabulary
+from spantriplet.errors import CheckpointError
 from spantriplet.evaluation import triplet_prf
 from spantriplet.model import ModelConfig, SpanModel
 
@@ -688,3 +689,55 @@ class TestBadInput:
         lines = error_lines(capsys.readouterr().err)
         assert len(lines) == 1 and path in lines[0] and "relation.w2" in lines[0], lines
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("name", ["lstm.fw.w_ih", "lstm.bw.w_hh", "lstm.fw.bias",
+                                      "relation.w0", "distance.table"])
+    def test_checkpoint_with_a_mis_shaped_weight_exits_2(self, tmp_path, corpus_path, capsys,
+                                                         name):
+        # The fused ops take these shapes on trust: loading is where they are checked.
+        model = SpanModel(ModelConfig(**TINY_MODEL), Vocabulary.build([["the"]]))
+        weight = next(p for p in model.parameters() if p.name == name)
+        weight.data = np.zeros((weight.shape[0] + 1,) + weight.shape[1:])
+        path = str(tmp_path / "misshaped.ckpt.npz")
+        model.save(path)
+        with pytest.raises(CheckpointError, match=re.escape(repr(name))):
+            SpanModel.load(path)
+        assert main(["eval", "--checkpoint", path, "--test", corpus_path]) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and repr(name) in lines[0], lines
+
+    @pytest.mark.parametrize("command, flag, bad, code, message", [
+        ("train", "--train", "missing", 2, "missing.txt"),
+        ("train", "--dev", "missing", 2, "missing.txt"),
+        ("train", "--test", "missing", 2, "missing.txt"),
+        ("train", "--train", "malformed", 2, "missing '####' separator"),
+        ("train", "--embeddings", "narrow", 1,
+         "error: embedding file width 4 != configured embedding_dim 6"),
+        ("prune-sweep", "--dev", "missing", 2, "missing.txt"),
+    ])
+    def test_unusable_input_exits_before_any_directory(self, tmp_path, corpus_path, capsys,
+                                                       command, flag, bad, code, message):
+        (tmp_path / "malformed.txt").write_text("no separator on this line\n")
+        (tmp_path / "narrow.txt").write_text("the 0.1 0.2 0.3 0.4\n")
+        bad_path = str(tmp_path / f"{bad}.txt")
+        argv = [command, "--config", make_config(tmp_path, corpus_path),
+                "--train", corpus_path, "--out", str(tmp_path / "run"), flag, bad_path]
+        if command == "prune-sweep":
+            argv += ["--z-values", "0.5"]
+        assert main(argv) == code
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and message in lines[0], lines
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value", [("sweep_modes", []), ("sweep_modes", None),
+                                            ("z_values", None)])
+    def test_empty_or_null_sweep_list_exits_1_before_any_directory(self, tmp_path,
+                                                                   corpus_path, capsys,
+                                                                   key, value):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"model": TINY_MODEL, "z_values": [0.5], key: value}))
+        assert main(["prune-sweep", "--train", corpus_path, "--out", str(tmp_path / "run"),
+                     "--config", str(path)]) == 1
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and key in lines[0] and lines[0].endswith(f"got {value!r}")
+        assert not (tmp_path / "run").exists()

@@ -96,6 +96,8 @@ class TestSweepSettings:
         ([0], ["dual"], (0,), "z must be positive"),
         ([0.5], ["bogus"], (0,), "sweep_modes"),
         ([0.5], "dual", (0,), "sweep_modes"),
+        ([0.5], [], (0,), r"sweep_modes must be a non-empty list.*got \[\]"),
+        ([0.5], None, (0,), "sweep_modes.*got None"),
         ([0.5], ["dual"], (0, 1), "one seed"),
         ([0.5, 0.25, 0.5], ["dual"], (0,), r"z_values given more than once: \[0\.5\]"),
         ([0.5], ["dual", "single", "dual"], (0,), r"sweep_modes given more than once: \['dual'\]"),

@@ -6,7 +6,7 @@ import pytest
 from spantriplet import autodiff as ad
 from spantriplet import encoder as enc
 from spantriplet.autodiff import Parameter, Tensor
-from spantriplet.errors import DataError, DimensionError, ParseError
+from spantriplet.errors import DataError, ParseError
 from spantriplet.model import ModelConfig, SpanModel
 
 import reference_ops as ref
@@ -270,12 +270,6 @@ class TestFusedLstmMatchesReference:
 
     def test_input_without_requires_grad_gets_no_grad_buffer(self):
         self._compare(5, 4, 7, x_requires_grad=False)
-
-    def test_weight_shape_mismatch(self):
-        fw, bw = enc.lstm_parameters("lstm", 5, 4, np.random.default_rng(0))
-        for cells in (((fw[0], bw[0], fw[2]), bw), (fw, (bw[0], bw[1], fw[1]))):
-            with pytest.raises(DimensionError):
-                ad.bilstm(Tensor(np.zeros((3, 5))), *cells)
 
 
 class TestEnumerateSpans:

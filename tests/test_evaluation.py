@@ -362,6 +362,12 @@ class TestPruneSweep:
             training.prune_sweep(fixture, fixture, TEST_CONFIG,
                                  TrainConfig(epochs=1, seeds=(0,)), z_values=[])
 
+    def test_needs_a_sweep_mode(self):
+        fixture = make_fixture(np.random.default_rng(10), 4)
+        with pytest.raises(ConfigurationError, match="sweep_modes"):
+            training.prune_sweep(fixture, fixture, TEST_CONFIG,
+                                 TrainConfig(epochs=1, seeds=(0,)), z_values=[0.5], modes=[])
+
     def test_empty_dev_split_is_an_input_error(self):
         fixture = make_fixture(np.random.default_rng(10), 4)
         with pytest.raises(DataError, match="dev"):
