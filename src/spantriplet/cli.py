@@ -5,8 +5,9 @@ the flags it reads. train and prune-sweep also read a JSON config file
 (--config) whose keys must all be ones the command reads; flags win.
 Both read every input, then echo the configuration they run into their
 output directory, and every file is written atomically. eval and predict
-take the model and its configuration from the checkpoint. Every command
-pins numpy's BLAS to one thread first, so a run replays bit for bit.
+take the model and its configuration from the checkpoint; eval, too, reads
+its inputs before it makes its output directory. Every command pins
+numpy's BLAS to one thread first, so a run replays bit for bit.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
 3 numerical failure during training.
@@ -202,6 +203,18 @@ def _load_embeddings_if_any(path: str | None, model: ModelConfig):
     return vectors
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail now if making directory ``path`` later is bound to: it is empty or under a file."""
+    if not path:
+        raise DataError("cannot create an output directory at an empty path")
+    ancestor = path
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        raise DataError(
+            f"cannot create output directory {path!r}: {ancestor} is not a directory")
+
+
 def _make_out_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
@@ -243,9 +256,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.out is not None:
-        _make_out_dir(args.out)
+        _check_out_dir(args.out)
     model = SpanModel.load(args.checkpoint)
     sentences = dataio.load_corpus(args.test)
+    if args.out is not None:
+        _make_out_dir(args.out)  # after the inputs, so a bad one leaves no directory
     report = evalmod.evaluate_model(model, sentences, args.modes)
     text = ["triplet extraction (filter applied to gold and predictions):",
             evalmod.render_prf_table(report["triplet"]),

@@ -120,9 +120,15 @@ def serialize_sentence(sentence: Sentence) -> str:
 
 
 def load_corpus(path: str) -> list[Sentence]:
-    """Read a corpus file; sentence ids are 0-based line ordinals."""
-    return [parse_dataset_line(raw, sentence_id=i, line=lineno)
-            for i, (lineno, raw) in enumerate(read_lines(path))]
+    """Read a corpus file; sentence ids are 0-based line ordinals.
+
+    A malformed line raises a ParseError naming the file, line and column.
+    """
+    try:
+        return [parse_dataset_line(raw, sentence_id=i, line=lineno)
+                for i, (lineno, raw) in enumerate(read_lines(path))]
+    except ParseError as exc:
+        raise exc.in_file(path)
 
 
 def find_benchmark_split(roots: Iterable[str], dataset: str, split: str) -> str | None:
@@ -257,7 +263,12 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
 
 def restore_parameters(params: Iterable[Parameter],
                        arrays: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into parameters, validating every shape."""
+    """Make each checkpoint array its parameter's data, validating every name and shape.
+
+    The parameters take ownership: a float64 array becomes the data as it
+    is, and any other real array is converted to a float64 copy. Whoever
+    keeps an array copies it, so a caller that keeps ``arrays`` passes copies.
+    """
     params = list(params)
     expected = {p.name for p in params}
     for name in arrays:
@@ -271,7 +282,7 @@ def restore_parameters(params: Iterable[Parameter],
             raise CheckpointError(
                 f"parameter {p.name!r}: checkpoint shape {tuple(arr.shape)} != model shape {p.shape}"
             )
-        p.data = arr.astype(np.float64, copy=True)
+        p.data = arr.astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------

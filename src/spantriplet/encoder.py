@@ -92,12 +92,21 @@ def read_lines(path: str) -> Iterator[tuple[int, str]]:
 def load_embedding_file(path: str) -> tuple[dict[str, np.ndarray], int]:
     """Read a whitespace-separated text embedding file (token + reals per line).
 
-    Malformed lines raise ParseError with their 1-based line number. Returns
-    the lowercased token -> vector map and the (uniform) vector dimension.
+    A malformed line raises a ParseError naming the file and its 1-based
+    line. Returns the lowercased token -> vector map and the (uniform)
+    vector dimension.
     """
+    try:
+        return _parse_embedding_lines(read_lines(path))
+    except ParseError as exc:
+        raise exc.in_file(path)
+
+
+def _parse_embedding_lines(lines: Iterable[tuple[int, str]]
+                           ) -> tuple[dict[str, np.ndarray], int]:
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for lineno, raw in read_lines(path):
+    for lineno, raw in lines:
         parts = raw.split()
         if len(parts) < 2:
             raise ParseError("embedding line needs a token and at least one value",

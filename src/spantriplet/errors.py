@@ -29,13 +29,19 @@ class DataError(SpanTripletError, ValueError):
 class ParseError(DataError):
     """A corpus or embedding line failed to parse.
 
-    Carries 1-based ``line`` and ``column`` positions.
+    Carries 1-based ``line`` and ``column`` positions. The file readers put
+    the path in front of the message with ``in_file``.
     """
 
     def __init__(self, message: str, line: int, column: int = 1):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+    def in_file(self, path: str) -> "ParseError":
+        """This error, its message now reading ``<path>: line L, column C: ...``."""
+        self.args = (f"{path}: {self.args[0]}",)
+        return self
 
 
 class CheckpointError(DataError):

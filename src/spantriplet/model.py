@@ -153,14 +153,26 @@ class SentenceOutput:
         return {self.spans[i] for i in np.flatnonzero(winners == label).tolist()}
 
 
+class _Unfilled:
+    """An init-generator stand-in whose draws are uninitialised arrays, for a checkpoint to fill."""
+
+    @staticmethod
+    def normal(loc: float, scale: float, size) -> np.ndarray:
+        return np.empty(size)
+
+
 class SpanModel:
     """Owns the parameters and runs per-sentence forward passes."""
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, seed: int = 0,
                  pretrained_embeddings: dict[str, np.ndarray] | None = None):
+        self._build(config, vocab, np.random.default_rng(seed), pretrained_embeddings)
+
+    def _build(self, config: ModelConfig, vocab: Vocabulary, init_rng,
+               pretrained_embeddings: dict[str, np.ndarray] | None = None) -> None:
+        """Create every parameter, drawing its initial values from ``init_rng`` in order."""
         self.config = config
         self.vocab = vocab
-        init_rng = np.random.default_rng(seed)
         self.embedding = Parameter(
             enc.build_embedding_table(vocab, config.embedding_dim, init_rng,
                                       pretrained_embeddings),
@@ -283,6 +295,11 @@ class SpanModel:
 
     @classmethod
     def load(cls, path: str) -> "SpanModel":
+        """The model a checkpoint holds; its weights are the arrays read from the file.
+
+        The parameters are built unfilled and then take the checkpoint's
+        arrays, so a load draws no initial values and keeps no second copy.
+        """
         arrays, meta = load_checkpoint(path)
         if "config" not in meta or "vocab" not in meta:
             raise CheckpointError(f"{path}: checkpoint lacks model config or vocabulary")
@@ -294,7 +311,8 @@ class SpanModel:
             vocab = Vocabulary(meta["vocab"])
         except DataError as exc:
             raise CheckpointError(f"{path}: stored vocab is invalid: {exc}") from exc
-        model = cls(config, vocab)
+        model = cls.__new__(cls)
+        model._build(config, vocab, _Unfilled())
         restore_parameters(model.parameters(), arrays)
         return model
 
@@ -302,4 +320,7 @@ class SpanModel:
         return {p.name: p.data.copy() for p in self.parameters()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        restore_parameters(self.parameters(), arrays)
+        """Set the parameters to copies of ``arrays``, which stay the caller's.
+
+        Whoever keeps an array copies it; training updates the parameters in place."""
+        restore_parameters(self.parameters(), {name: a.copy() for name, a in arrays.items()})

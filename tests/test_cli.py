@@ -729,6 +729,67 @@ class TestBadInput:
         assert len(lines) == 1 and message in lines[0], lines
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--dev"), ("train", "--embeddings"), ("eval", "--test"),
+        ("predict", "--test"), ("stats", None),
+    ])
+    def test_parse_error_names_its_file(self, tmp_path, corpus_path, capsys, command, flag):
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "w") as handle:
+            if flag == "--embeddings":
+                handle.write("the 1 2 3 4 5 6\nfood 1 x 3 4 5 6\n")
+                message = "line 2, column 6: non-numeric embedding value for token 'food'"
+            else:
+                handle.write("fine line####[]\nbroken line without separator\n")
+                message = "line 2, column 30: missing '####' separator"
+        if command == "train":
+            argv = ["train", "--config", make_config(tmp_path, corpus_path),
+                    "--train", corpus_path, "--out", str(tmp_path / "run"), flag, bad]
+        elif command == "stats":
+            argv = ["stats", bad]
+        else:
+            argv = [command, "--checkpoint", tiny_checkpoint(tmp_path), "--test", bad]
+            if command == "predict":
+                argv += ["--out", str(tmp_path / "pred.txt")]
+        assert main(argv) == 2
+        assert error_lines(capsys.readouterr().err) == [f"error: {bad}: {message}"]
+
+    @pytest.mark.parametrize("bad", ["checkpoint", "unreadable_test", "malformed_test"])
+    def test_eval_with_a_bad_input_leaves_no_out_directory(self, tmp_path, corpus_path,
+                                                           capsys, monkeypatch, bad):
+        checkpoint, test = tiny_checkpoint(tmp_path), corpus_path
+        if bad == "checkpoint":
+            checkpoint = str(tmp_path / "junk.ckpt.npz")
+            with open(checkpoint, "w") as handle:
+                handle.write("not a checkpoint")
+            expected = f"error: {checkpoint}: unreadable checkpoint"
+        elif bad == "unreadable_test":
+            test = str(tmp_path / "missing.txt")
+            expected = f"error: cannot read {test}: No such file or directory"
+        else:
+            test = str(tmp_path / "malformed.txt")
+            with open(test, "w") as handle:
+                handle.write("no separator on this line\n")
+            expected = f"error: {test}: line 1, column 26: missing '####' separator"
+        forwards = count_forwards(monkeypatch)
+        out = tmp_path / "evout"
+        assert main(["eval", "--checkpoint", checkpoint, "--test", test,
+                     "--out", str(out)]) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and lines[0].startswith(expected), lines
+        assert forwards == [] and not out.exists()
+
+    def test_eval_out_under_a_file_exits_2_before_loading(self, tmp_path, corpus_path,
+                                                          capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(SpanModel, "load", lambda path: loads.append(path))
+        out = os.path.join(corpus_path, "evout")
+        assert main(["eval", "--checkpoint", "any.ckpt.npz", "--test", corpus_path,
+                     "--out", out]) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and out in lines[0] and corpus_path in lines[0], lines
+        assert loads == []
+
     @pytest.mark.parametrize("key, value", [("sweep_modes", []), ("sweep_modes", None),
                                             ("z_values", None)])
     def test_empty_or_null_sweep_list_exits_1_before_any_directory(self, tmp_path,

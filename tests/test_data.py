@@ -99,6 +99,14 @@ class TestSerialize:
         with pytest.raises(DataError, match=re.escape(str(path))):
             dataio.load_corpus(str(path))
 
+    def test_malformed_line_names_the_file_line_and_column(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("fine line####[]\nbroken line without separator\n")
+        with pytest.raises(ParseError) as info:
+            dataio.load_corpus(str(path))
+        assert str(info.value) == f"{path}: line 2, column 30: missing '####' separator"
+        assert (info.value.line, info.value.column) == (2, 30)
+
     def test_write_into_a_missing_directory_is_a_data_error(self, tmp_path):
         path = tmp_path / "absent" / "corpus.txt"
         with pytest.raises(DataError, match=re.escape(str(path))):

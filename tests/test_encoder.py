@@ -64,6 +64,18 @@ class TestEmbeddingFile:
         with pytest.raises(ParseError, match="line 2"):
             enc.load_embedding_file(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("the 0.1 0.2\nbad 0.1 oops\n",
+         "line 2, column 5: non-numeric embedding value for token 'bad'"),
+        ("\n", "line 1, column 1: embedding file is empty"),
+    ], ids=["non_numeric", "empty"])
+    def test_parse_error_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            enc.load_embedding_file(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
     def test_inconsistent_width_rejected(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1 2\nb 1 2 3\n")
