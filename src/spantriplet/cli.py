@@ -7,7 +7,8 @@ Both read every input, then echo the configuration they run into their
 output directory, and every file is written atomically. eval and predict
 take the model and its configuration from the checkpoint; eval, too, reads
 its inputs before it makes its output directory. Every command pins
-numpy's BLAS to one thread first, so a run replays bit for bit.
+numpy's BLAS to one thread first, so a run replays bit for bit. Only
+``data`` opens, writes or makes a file.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
 3 numerical failure during training.
@@ -26,8 +27,7 @@ from . import data as dataio
 from . import evaluation as evalmod
 from . import training
 from .autodiff import set_blas_threads
-from .data import atomic_write_text
-from .encoder import SPAN_MODES, load_embedding_file
+from .encoder import SPAN_MODES
 from .errors import ConfigurationError, DataError, NumericalError
 from .model import ModelConfig, SpanModel, check_distinct, config_from_dict
 from .pruning import CHANNEL_MODES
@@ -114,19 +114,6 @@ _REQUIRED = {"train": {"train_path": "--train", "out": "--out"},
 _SWEPT_FIELDS = ("z", "channel_mode")
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-        raise ConfigurationError(f"cannot read config file {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config file {path} must hold a JSON object")
-    return raw
-
-
 def _reject_unread(keys, read: tuple[str, ...], where: str, command: str) -> None:
     unread = sorted(set(keys) - set(read))
     if unread:
@@ -143,7 +130,7 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
     """
     command = args.command
     flags = {dest: target for dest, target in _FLAGS.items() if dest in vars(args)}
-    file_cfg = _load_config_file(args.config)
+    file_cfg = dataio.load_config_file(args.config)
     _reject_unread(file_cfg, ("command",) + _SECTIONS[command], "config keys", command)
     sections = {key: file_cfg.get(key, {}) for key in ("paths", "model", "training")}
     not_objects = [key for key, value in sections.items() if not isinstance(value, dict)]
@@ -196,45 +183,26 @@ def resolve_config(args) -> tuple[dict, ModelConfig, training.TrainConfig]:
 def _load_embeddings_if_any(path: str | None, model: ModelConfig):
     if path is None:
         return None
-    vectors, dim = load_embedding_file(path)
+    vectors, dim = dataio.load_embedding_file(path)
     if dim != model.embedding_dim:
         raise ConfigurationError(
             f"embedding file width {dim} != configured embedding_dim {model.embedding_dim}")
     return vectors
 
 
-def _check_out_dir(path: str) -> None:
-    """Fail now if making directory ``path`` later is bound to: it is empty or under a file."""
-    if not path:
-        raise DataError("cannot create an output directory at an empty path")
-    ancestor = path
-    while ancestor and not os.path.exists(ancestor):
-        ancestor = os.path.dirname(ancestor)
-    if ancestor and not os.path.isdir(ancestor):
-        raise DataError(
-            f"cannot create output directory {path!r}: {ancestor} is not a directory")
-
-
-def _make_out_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {path!r}: {exc.strerror}") from exc
-
-
 def _echo_config(config: dict, out_dir: str) -> None:
-    _make_out_dir(out_dir)
-    atomic_write_text(os.path.join(out_dir, "config.json"),
-                      json.dumps(config, indent=2) + "\n")
+    dataio.make_out_dir(out_dir)
+    dataio.atomic_write_text(os.path.join(out_dir, "config.json"),
+                             json.dumps(config, indent=2) + "\n")
 
 
 def _publish(out_dir: str | None, name: str, data, text: str) -> None:
     """Print ``text``; with an ``out_dir``, also write <name>.json and <name>.txt there."""
     print(text)
     if out_dir is not None:
-        atomic_write_text(os.path.join(out_dir, f"{name}.json"),
-                          json.dumps(data, indent=2) + "\n")
-        atomic_write_text(os.path.join(out_dir, f"{name}.txt"), text + "\n")
+        dataio.atomic_write_text(os.path.join(out_dir, f"{name}.json"),
+                                 json.dumps(data, indent=2) + "\n")
+        dataio.atomic_write_text(os.path.join(out_dir, f"{name}.txt"), text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +224,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.out is not None:
-        _check_out_dir(args.out)
+        dataio.check_out_dir(args.out)
     model = SpanModel.load(args.checkpoint)
     sentences = dataio.load_corpus(args.test)
     if args.out is not None:
-        _make_out_dir(args.out)  # after the inputs, so a bad one leaves no directory
+        dataio.make_out_dir(args.out)  # after the inputs, so a bad one leaves no directory
     report = evalmod.evaluate_model(model, sentences, args.modes)
     text = ["triplet extraction (filter applied to gold and predictions):",
             evalmod.render_prf_table(report["triplet"]),
@@ -301,7 +269,7 @@ def cmd_stats(args) -> int:
         stats[label] = dataio.dataset_stats(dataio.load_corpus(path))
     print(dataio.format_stats_table(stats))
     if args.out is not None:
-        atomic_write_text(args.out, json.dumps(
+        dataio.atomic_write_text(args.out, json.dumps(
             {name: asdict(s) for name, s in stats.items()}, indent=2) + "\n")
     return 0
 

@@ -1,4 +1,4 @@
-"""Corpus line format, checkpoints, the one file writer, statistics and fixtures.
+"""Every file the package reads or writes, and the corpus format, statistics and fixtures.
 
 A corpus file holds one sentence per line::
 
@@ -10,9 +10,11 @@ Index lists must describe contiguous token runs; they are normalized to
 sorted order on parse. Prediction files reuse the identical syntax, so
 gold and predicted corpora are interchangeable evaluator inputs.
 
-A checkpoint is an ``.npz`` file: a ``__format__`` tag, the JSON ``__meta__``
-and one ``param/<name>`` array per parameter. Every file the package writes
-goes through ``atomic_write``, a temp file renamed onto the target once full.
+An embedding file holds a token and its reals per line. A checkpoint is an
+``.npz`` file: a ``__format__`` tag, the JSON ``__meta__`` and one ``param/<name>``
+array per parameter. No other module opens, makes or replaces a file. Line files
+are read by ``_parse_file``, whose errors name the file, and every file is
+written by ``atomic_write``, a temp file renamed onto the target once full.
 """
 
 from __future__ import annotations
@@ -20,19 +22,21 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import tempfile
 import zipfile
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .autodiff import Parameter
-from .encoder import Span, read_lines, span_width
-from .errors import CheckpointError, DataError, ParseError
+from .encoder import Span, span_width
+from .errors import CheckpointError, ConfigurationError, DataError, ParseError
 from .triplet import SENTIMENT_TAGS
 
 SEPARATOR = "####"
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,8 @@ def parse_dataset_line(raw: str, sentence_id: int = 0, line: int = 1) -> Sentenc
     literal_col = len(text) + len(SEPARATOR) + 1
     try:
         parsed = ast.literal_eval(literal)
-    except (SyntaxError, ValueError) as exc:
+    # TypeError: an unhashable set item or key; the last two: nesting too deep to parse.
+    except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError) as exc:
         offset = getattr(exc, "offset", None) or 1
         raise ParseError(f"malformed triplet literal: {literal.strip()!r}",
                          line, column=literal_col + offset - 1) from exc
@@ -119,16 +124,79 @@ def serialize_sentence(sentence: Sentence) -> str:
     return " ".join(sentence.tokens) + SEPARATOR + repr(annotated)
 
 
-def load_corpus(path: str) -> list[Sentence]:
-    """Read a corpus file; sentence ids are 0-based line ordinals.
+def _parse_file(path: str, parse: Callable[[Iterator[tuple[int, str]]], T]) -> T:
+    """``parse`` run over (1-based line number, line) of each non-blank line of a UTF-8 file.
 
-    A malformed line raises a ParseError naming the file, line and column.
+    A file that cannot be opened or decoded raises a DataError naming it,
+    and a ParseError from ``parse`` gets the path put in front of its message.
     """
     try:
-        return [parse_dataset_line(raw, sentence_id=i, line=lineno)
-                for i, (lineno, raw) in enumerate(read_lines(path))]
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse((lineno, raw) for lineno, raw in enumerate(handle, start=1)
+                         if raw.strip())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     except ParseError as exc:
         raise exc.in_file(path)
+
+
+def load_corpus(path: str) -> list[Sentence]:
+    """Read a corpus file; sentence ids are 0-based ordinals of the non-blank lines."""
+    return _parse_file(path, lambda lines: [parse_dataset_line(raw, sentence_id=i, line=lineno)
+                                            for i, (lineno, raw) in enumerate(lines)])
+
+
+def load_embedding_file(path: str) -> tuple[dict[str, np.ndarray], int]:
+    """The lowercased token -> vector map of a text embedding file, and the vectors' width."""
+    return _parse_file(path, _parse_embedding_lines)
+
+
+def _parse_embedding_lines(lines: Iterable[tuple[int, str]]) -> tuple[dict[str, np.ndarray], int]:
+    vectors: dict[str, np.ndarray] = {}
+    dim: int | None = None
+    for lineno, raw in lines:
+        parts = raw.split()
+        if len(parts) < 2:
+            raise ParseError("embedding line needs a token and at least one value", lineno)
+        token = parts[0]
+        try:
+            if not all(v.isascii() and "_" not in v for v in parts[1:]):  # float takes "1_0"
+                raise ValueError
+            vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError:
+            raise ParseError(f"non-numeric embedding value for token {token!r}",
+                             lineno, column=len(token) + 2)
+        if not np.isfinite(vec).all():
+            bad = 1 + int(np.argmin(np.isfinite(vec)))
+            column = [m.start() + 1 for m in re.finditer(r"\S+", raw)][bad]
+            raise ParseError(f"non-finite embedding value {parts[bad]!r}", lineno, column)
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ParseError(f"embedding width {vec.size} differs from earlier width {dim}",
+                             lineno)
+        # A cased file may list several casings of one word: the lowercase
+        # entry keeps its own vector, and otherwise the first casing wins.
+        key = token.lower()
+        if token == key or key not in vectors:
+            vectors[key] = vec
+    if dim is None:
+        raise ParseError("embedding file is empty", 1)
+    return vectors, dim
+
+
+def load_config_file(path: str | None) -> dict:
+    """The JSON object a ``--config`` file holds, or ``{}`` without one."""
+    if path is None:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ConfigurationError(f"cannot read config file {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
+    return raw
 
 
 def find_benchmark_split(roots: Iterable[str], dataset: str, split: str) -> str | None:
@@ -176,6 +244,26 @@ def output_directory(path: str) -> str:
     if not os.path.isdir(directory):
         raise DataError(f"cannot write {path}: no directory {directory}")
     return directory
+
+
+def check_out_dir(path: str) -> None:
+    """Fail now if making directory ``path`` later is bound to: it is empty or under a file."""
+    if not path:
+        raise DataError("cannot create an output directory at an empty path")
+    ancestor = path
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        raise DataError(
+            f"cannot create output directory {path!r}: {ancestor} is not a directory")
+
+
+def make_out_dir(path: str) -> None:
+    """Make directory ``path`` and its parents; a DataError names ``path`` if that fails."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {path!r}: {exc.strerror}") from exc
 
 
 def atomic_write(path: str, fill: Callable[[IO[bytes]], object]) -> None:
@@ -245,13 +333,13 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
             tag = str(npz["__format__"][()])
             if tag != CHECKPOINT_FORMAT:
                 raise CheckpointError(f"{path}: unsupported format {tag!r}")
-            meta = {}
-            if "__meta__" in names:
-                meta = json.loads(str(npz["__meta__"][()]))
+            meta = json.loads(str(npz["__meta__"][()])) if "__meta__" in names else {}
             arrays = {
                 name[len("param/"):]: npz[name]
                 for name in names if name.startswith("param/")
             }
+    except CheckpointError:  # a ValueError too, but already names what is wrong
+        raise
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
     for name, arr in arrays.items():

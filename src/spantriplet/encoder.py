@@ -1,4 +1,4 @@
-"""Token embedding, bidirectional LSTM contextualization, and span features.
+"""Vocabulary, embedding table, bidirectional LSTM, span features and buckets.
 
 Spans are inclusive (start, end) token index pairs. Enumeration is limited
 by a gap parameter: a span (i, j) is kept when j - i <= max_gap, so the
@@ -7,14 +7,13 @@ widest enumerated span covers max_gap + 1 tokens.
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import DataError, DimensionError, ParseError
+from .errors import DataError, DimensionError
 
 Span = tuple[int, int]  # inclusive (start, end) token indices
 
@@ -73,68 +72,6 @@ class Vocabulary:
         seen = {tok.lower() for tokens in sentences for tok in tokens}
         # A corpus token that lowercases to UNK_TOKEN maps to the unknown row.
         return cls([UNK_TOKEN] + sorted(seen - {UNK_TOKEN}))
-
-
-def read_lines(path: str) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, line) for each non-blank line of a UTF-8 text file.
-
-    A file that cannot be opened or decoded raises a DataError naming it.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                if raw.strip():
-                    yield lineno, raw
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
-
-
-def load_embedding_file(path: str) -> tuple[dict[str, np.ndarray], int]:
-    """Read a whitespace-separated text embedding file (token + reals per line).
-
-    A malformed line raises a ParseError naming the file and its 1-based
-    line. Returns the lowercased token -> vector map and the (uniform)
-    vector dimension.
-    """
-    try:
-        return _parse_embedding_lines(read_lines(path))
-    except ParseError as exc:
-        raise exc.in_file(path)
-
-
-def _parse_embedding_lines(lines: Iterable[tuple[int, str]]
-                           ) -> tuple[dict[str, np.ndarray], int]:
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for lineno, raw in lines:
-        parts = raw.split()
-        if len(parts) < 2:
-            raise ParseError("embedding line needs a token and at least one value",
-                             lineno)
-        token = parts[0]
-        try:
-            vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
-        except ValueError:
-            raise ParseError(f"non-numeric embedding value for token {token!r}",
-                             lineno, column=len(token) + 2)
-        if not np.isfinite(vec).all():
-            bad = 1 + int(np.argmin(np.isfinite(vec)))
-            column = [m.start() + 1 for m in re.finditer(r"\S+", raw)][bad]
-            raise ParseError(f"non-finite embedding value {parts[bad]!r}", lineno, column)
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise ParseError(
-                f"embedding width {vec.size} differs from earlier width {dim}", lineno
-            )
-        # A cased file may list several casings of one word: the lowercase
-        # entry keeps its own vector, and otherwise the first casing wins.
-        key = token.lower()
-        if token == key or key not in vectors:
-            vectors[key] = vec
-    if dim is None:
-        raise ParseError("embedding file is empty", 1)
-    return vectors, dim
 
 
 def build_embedding_table(vocab: Vocabulary, dim: int, rng: np.random.Generator,

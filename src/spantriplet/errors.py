@@ -29,8 +29,8 @@ class DataError(SpanTripletError, ValueError):
 class ParseError(DataError):
     """A corpus or embedding line failed to parse.
 
-    Carries 1-based ``line`` and ``column`` positions. The file readers put
-    the path in front of the message with ``in_file``.
+    Carries 1-based ``line`` and ``column`` positions. The one file reader,
+    ``data._parse_file``, puts the path in front of the message with ``in_file``.
     """
 
     def __init__(self, message: str, line: int, column: int = 1):

@@ -142,11 +142,17 @@ def _failure_snapshot(model: SpanModel, sentence: Sentence, position: int,
         "sentence_id": sentence.id,
         "tokens": sentence.tokens,
         "position_in_epoch": position,
-        "mention_loss": parts.mention.item(),
-        "relation_loss": parts.relation.item(),
-        "param_norms": {p.name: float(np.linalg.norm(p.data))
+        "mention_loss": _json_number(parts.mention.item()),
+        "relation_loss": _json_number(parts.relation.item()),
+        # hypot does not overflow where squaring a weight near 1e300 would.
+        "param_norms": {p.name: _json_number(float(np.hypot.reduce(p.data.ravel())))
                         for p in model.parameters()},
     }
+
+
+def _json_number(x: float) -> float | str:
+    """``x``, or ``"nan"``, ``"inf"`` or ``"-inf"`` if it is not finite, which JSON cannot hold."""
+    return x if math.isfinite(x) else str(x)
 
 
 def train_epoch(model: SpanModel, sentences: Sequence[Sentence],

@@ -802,3 +802,141 @@ class TestBadInput:
         lines = error_lines(capsys.readouterr().err)
         assert len(lines) == 1 and key in lines[0] and lines[0].endswith(f"got {value!r}")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("literal", ["{[0]}", "{[0]: 1}"], ids=["set", "dict"])
+    @pytest.mark.parametrize("command", ["stats", "train", "eval", "predict"])
+    def test_unhashable_literal_exits_2_before_any_output(self, tmp_path, corpus_path, capsys,
+                                                          command, literal):
+        # ast.literal_eval raises TypeError building such a set or dict.
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "w") as handle:
+            handle.write(f"the food was great####{literal}\n")
+        out = tmp_path / "out"
+        if command == "stats":
+            argv = ["stats", bad]
+        elif command == "train":
+            argv = ["train", "--config", make_config(tmp_path, corpus_path), "--train", bad]
+        else:
+            argv = [command, "--checkpoint", tiny_checkpoint(tmp_path), "--test", bad]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert error_lines(captured.err) == [
+            f"error: {bad}: line 1, column 23: malformed triplet literal: {literal!r}"]
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("text, line, column, token", [
+        ("the 1_0 2 3 4 5 6\n", 1, 5, "the"),
+        ("the 1 2 3 4 5 6\nfood ١٢ 2 3 4 5 6\n", 2, 6, "food"),
+        ("the 1 2 3 4 5 6\nfood 1 ３ 3 4 5 6\n", 2, 6, "food"),
+    ], ids=["underscore", "arabic_indic_digits", "fullwidth_digit"])
+    def test_embedding_value_that_is_not_plain_ascii_decimal_exits_2(
+            self, tmp_path, corpus_path, capsys, text, line, column, token):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", make_config(tmp_path, corpus_path),
+                     "--train", corpus_path, "--out", str(tmp_path / "run"),
+                     "--embeddings", str(vectors)]) == 2
+        assert error_lines(capsys.readouterr().err) == [
+            f"error: {vectors}: line {line}, column {column}: "
+            f"non-numeric embedding value for token {token!r}"]
+        assert not (tmp_path / "run").exists()
+
+
+class TestExitCodeThree:
+    def test_overflowing_training_exits_3_with_a_strict_json_snapshot(self, tmp_path,
+                                                                       corpus_path, capsys):
+        config = tmp_path / "lr.json"
+        config.write_text(json.dumps({"model": TINY_MODEL,
+                                      "training": {"epochs": 2, "seeds": [0], "lr": 1e300}}))
+        run = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", str(config), "--train", corpus_path,
+                         "--out", str(run)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = error_lines(captured.err)
+        assert len(lines) == 1 and "non-finite" in lines[0], lines
+        tail = captured.err[captured.err.index(lines[0]) + len(lines[0]):]
+
+        def refuse(constant):
+            raise ValueError(f"snapshot holds the non-JSON constant {constant}")
+
+        snapshot = json.loads(tail, parse_constant=refuse)
+        norms = snapshot["param_norms"]
+        assert norms and all(isinstance(v, float) and 1e299 < v < 1e302
+                             for v in norms.values()), norms
+        assert not (run / "seed0.ckpt.npz").exists()
+
+
+class TestReaderPaths:
+    """Reader branches the other tests do not reach: each bad file exits with one error line."""
+
+    def test_train_takes_the_embedding_file_vectors_bit_for_bit(self, tmp_path, corpus_path):
+        # lr 1e-300 moves no weight near 1, so the best-dev checkpoint keeps the file's rows.
+        rows = {"the": [0.125, -1.5, 3e-7, 2.0, 0.1, -0.3], "is": [1, 2, 3, 4, 5, 6]}
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("The 9 9 9 9 9 9\n"
+                           + "".join(f"{w} {' '.join(map(repr, v))}\n" for w, v in rows.items())
+                           + "IS 7 7 7 7 7 7\n")
+        config = tmp_path / "tiny_lr.json"
+        config.write_text(json.dumps({"model": TINY_MODEL,
+                                      "training": {"epochs": 1, "seeds": [0], "lr": 1e-300}}))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--train", corpus_path,
+                     "--out", str(run), "--embeddings", str(vectors)]) == 0
+        arrays, meta = dataio.load_checkpoint(str(run / "seed0.ckpt.npz"))
+        vocab = Vocabulary(meta["vocab"])
+        for word, vector in rows.items():
+            assert vocab.lookup(word) != 0, word
+            row = arrays["embedding.table"][vocab.lookup(word)]
+            assert row.tobytes() == np.array(vector, dtype=np.float64).tobytes(), word
+
+    def test_embedding_line_without_values_exits_2(self, tmp_path, corpus_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("the 1 2 3 4 5 6\nfood\n")
+        assert main(["train", "--config", make_config(tmp_path, corpus_path),
+                     "--train", corpus_path, "--out", str(tmp_path / "run"),
+                     "--embeddings", str(vectors)]) == 2
+        assert error_lines(capsys.readouterr().err) == [
+            f"error: {vectors}: line 2, column 1: "
+            "embedding line needs a token and at least one value"]
+
+    @pytest.mark.parametrize("tag, message", [
+        (None, "missing format tag, not a checkpoint"),
+        ("spantriplet-checkpoint-v0", "unsupported format 'spantriplet-checkpoint-v0'"),
+    ], ids=["no_tag", "unknown_tag"])
+    def test_checkpoint_format_tag_is_checked(self, tmp_path, corpus_path, capsys, tag,
+                                              message):
+        path = str(tmp_path / "tagged.ckpt.npz")
+        arrays = {"param/w": np.zeros(2)}
+        if tag is not None:
+            arrays["__format__"] = np.array(tag)
+        np.savez(path, **arrays)
+        assert main(["eval", "--checkpoint", path, "--test", corpus_path]) == 2
+        assert error_lines(capsys.readouterr().err) == [f"error: {path}: {message}"]
+
+    @pytest.mark.parametrize("drop", ["config", "vocab"])
+    def test_checkpoint_without_config_or_vocab_exits_2(self, tmp_path, corpus_path, capsys,
+                                                        drop):
+        model = SpanModel(ModelConfig(**TINY_MODEL), Vocabulary.build([["the"]]))
+        meta = {"config": asdict(model.config), "vocab": model.vocab.tokens}
+        del meta[drop]
+        path = str(tmp_path / "partial.ckpt.npz")
+        dataio.save_checkpoint(path, model.parameters(), meta)
+        assert main(["predict", "--checkpoint", path, "--test", corpus_path,
+                     "--out", str(tmp_path / "pred.txt")]) == 2
+        assert error_lines(capsys.readouterr().err) == [
+            f"error: {path}: checkpoint lacks model config or vocabulary"]
+        assert not (tmp_path / "pred.txt").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"run"', "null"])
+    def test_config_file_holding_a_non_object_exits_1(self, tmp_path, corpus_path, capsys,
+                                                      text):
+        config = tmp_path / "list.json"
+        config.write_text(text)
+        assert main(["train", "--config", str(config), "--train", corpus_path,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert error_lines(capsys.readouterr().err) == [
+            f"error: config file {config} must hold a JSON object"]
+        assert not (tmp_path / "run").exists()

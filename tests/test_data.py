@@ -65,6 +65,14 @@ class TestParse:
         with pytest.raises(ParseError, match=message):
             parse_dataset_line(f"a b c####{literal}")
 
+    @pytest.mark.parametrize("literal", ["{[0]}", "{[0]: 1}", "-" * 5000 + "1",
+                                         "-" * 100000 + "1"],
+                             ids=["unhashable_set", "unhashable_key", "deep", "deeper"])
+    def test_literal_the_evaluator_cannot_build_is_malformed(self, literal):
+        with pytest.raises(ParseError, match="malformed triplet literal") as err:
+            parse_dataset_line(f"a b c####{literal}", line=4)
+        assert (err.value.line, err.value.column) == (4, len("a b c####") + 1)
+
     def test_sentence_without_tokens(self):
         with pytest.raises(ParseError, match="no tokens"):
             parse_dataset_line("####[]")

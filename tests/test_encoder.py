@@ -6,6 +6,7 @@ import pytest
 from spantriplet import autodiff as ad
 from spantriplet import encoder as enc
 from spantriplet.autodiff import Parameter, Tensor
+from spantriplet.data import load_embedding_file
 from spantriplet.errors import DataError, ParseError
 from spantriplet.model import ModelConfig, SpanModel
 
@@ -41,7 +42,7 @@ class TestEmbeddingFile:
     def test_loads_good_file(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("the 0.1 0.2 0.3\nGreat -1 0 1\n")
-        vectors, dim = enc.load_embedding_file(str(path))
+        vectors, dim = load_embedding_file(str(path))
         assert dim == 3
         np.testing.assert_array_equal(vectors["great"], [-1.0, 0.0, 1.0])
 
@@ -54,7 +55,7 @@ class TestEmbeddingFile:
                                                                 expected):
         path = tmp_path / "vectors.txt"
         path.write_text(text)
-        vectors, _ = enc.load_embedding_file(str(path))
+        vectors, _ = load_embedding_file(str(path))
         assert list(vectors) == ["the"]
         np.testing.assert_array_equal(vectors["the"], expected)
 
@@ -62,7 +63,7 @@ class TestEmbeddingFile:
         path = tmp_path / "vectors.txt"
         path.write_text("the 0.1 0.2\nbad 0.1 oops\n")
         with pytest.raises(ParseError, match="line 2"):
-            enc.load_embedding_file(str(path))
+            load_embedding_file(str(path))
 
     @pytest.mark.parametrize("text, message", [
         ("the 0.1 0.2\nbad 0.1 oops\n",
@@ -73,14 +74,14 @@ class TestEmbeddingFile:
         path = tmp_path / "vectors.txt"
         path.write_text(text)
         with pytest.raises(ParseError) as info:
-            enc.load_embedding_file(str(path))
+            load_embedding_file(str(path))
         assert str(info.value) == f"{path}: {message}"
 
     def test_inconsistent_width_rejected(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1 2\nb 1 2 3\n")
         with pytest.raises(ParseError, match="line 2"):
-            enc.load_embedding_file(str(path))
+            load_embedding_file(str(path))
 
     @pytest.mark.parametrize("text, line, column", [
         ("battery nan 0.3\n", 1, 9),
@@ -91,7 +92,7 @@ class TestEmbeddingFile:
         path = tmp_path / "vectors.txt"
         path.write_text(text)
         with pytest.raises(ParseError, match="non-finite") as info:
-            enc.load_embedding_file(str(path))
+            load_embedding_file(str(path))
         assert (info.value.line, info.value.column) == (line, column)
 
     @pytest.mark.parametrize("content", [None, b"caf\xe9 0.1 0.2\n"], ids=["missing", "latin1"])
@@ -100,7 +101,7 @@ class TestEmbeddingFile:
         if content is not None:
             path.write_bytes(content)
         with pytest.raises(DataError, match=re.escape(str(path))):
-            enc.load_embedding_file(str(path))
+            load_embedding_file(str(path))
 
     def test_random_fallback_is_seeded(self):
         vocab = enc.Vocabulary.build([["a", "b"]])
