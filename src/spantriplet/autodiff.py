@@ -16,7 +16,7 @@ span of a sentence is one op too, and so is each affine layer of a scorer.
 The relation scorer's layer 0 and the pair matrix it reads are one op,
 ``pair_linear``: its backward sums the output gradient over the pools
 before any GEMM, so no (pairs, 2D + dd) gradient is ever formed, and its
-forward builds the pair matrix a block of rows at a time in its weight's
+forward builds the pair matrix a block of rows at a time in the thread's
 scratch buffer.
 Two ops run in two lanes when their BLAS calls are large enough: the
 caller's thread and one worker thread, which overlap because numpy
@@ -24,9 +24,11 @@ releases the GIL inside BLAS. ``bilstm`` runs one direction in each lane,
 forward and backward, and ``pair_linear``'s forward gives each lane half
 of its blocks. Every lane writes its own arrays, so the bits are those of
 running the halves in turn.
-A training step allocates little: a weight's gradient GEMMs go through
-the one scratch buffer it keeps, row gathers scatter their gradient into
-the existing buffer, and AdamW updates in place, block by block.
+A training step allocates little: weight-gradient GEMMs, pair-row blocks
+and AdamW's temporaries borrow one scratch buffer per thread, row gathers
+scatter their gradient into the existing grad buffer, and AdamW updates in
+place, block by block. Inside ``no_grad`` ops record no graph, so a forward
+that nothing differentiates frees each op's saved arrays as it returns.
 
 ``Tensor._accumulate`` is the one gradient gate: it drops the gradient of
 a tensor without ``requires_grad``, ``_accumulate_product`` drops it before
@@ -36,13 +38,15 @@ never gets a grad buffer and each op's backward is its bare gradient formula.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import logging
 import math
 import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,7 +56,7 @@ from .errors import DimensionError, TrainingStateError
 class Tensor:
     """Dense n-dimensional value node of the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_scratch")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -60,7 +64,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._scratch: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,28 +93,16 @@ class Tensor:
         else:
             self.grad += g
 
-    def _scratch_buffer(self, rows: int, cols: int) -> np.ndarray:
-        """A (rows, cols) view of the one buffer this tensor keeps, grown when too short.
-
-        Gradient products go here, never straight into ``grad``, which may
-        hold another consumer's gradient; ``pair_linear``'s forward builds
-        its pair-row blocks here, dead before its backward runs. A fresh
-        buffer of megabytes per call would make the allocator hand its
-        pages back and fault them in again on every sentence.
-        """
-        size = rows * cols
-        if self._scratch is None or self._scratch.size < size:
-            self._scratch = np.empty(size)
-        return self._scratch[:size].reshape(rows, cols)
-
     def _accumulate_product(self, *factors: tuple[np.ndarray, np.ndarray]) -> None:
-        """Add the products ``a @ b`` of ``factors``, stacked by rows, through the scratch buffer.
+        """Add the products ``a @ b`` of ``factors``, stacked by rows, through the thread's scratch.
 
-        Returns before any GEMM for a tensor without ``requires_grad``.
+        The products go there, never straight into ``grad``, which may hold
+        another consumer's gradient. Returns before any GEMM for a tensor
+        without ``requires_grad``.
         """
         if not self.requires_grad:
             return
-        product = self._scratch_buffer(*self.data.shape)
+        product = _scratch(*self.data.shape)
         start = 0
         for a, b in factors:
             np.matmul(a, b, out=product[start:start + a.shape[0]])
@@ -176,10 +167,51 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+class _PerThread(threading.local):
+    """What each thread keeps: its scratch buffer and whether ops record a graph.
+
+    The scratch buffer is lent to one op at a time. Weight-gradient products,
+    ``pair_linear``'s pair-row blocks and AdamW's temporaries borrow it in
+    turn, so no view of it may outlive the op that borrowed it. The worker
+    lane of ``_in_lanes`` borrows its own thread's buffer. A fresh buffer of
+    megabytes per call would make the allocator hand its pages back and
+    fault them in again on every sentence.
+    """
+
+    def __init__(self) -> None:
+        self.scratch = np.empty(0)
+        self.record = True
+
+
+_thread = _PerThread()
+
+
+def _scratch(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) view of this thread's scratch buffer, grown when too short."""
+    size = rows * cols
+    if _thread.scratch.size < size:
+        _thread.scratch = np.empty(size)
+    return _thread.scratch[:size].reshape(rows, cols)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Ops run inside keep no parents or backward closure, so no graph outlives them.
+
+    For forwards that nothing differentiates; the outputs hold the same bits.
+    The previous state comes back on exit, after an error too, so blocks nest.
+    """
+    record, _thread.record = _thread.record, False
+    try:
+        yield
+    finally:
+        _thread.record = record
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _thread.record and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
         out._backward = backward
@@ -226,7 +258,8 @@ def _in_lanes(work: Callable, first: tuple, second: tuple, lanes: bool) -> tuple
 
     With ``lanes`` the first half runs on the one worker thread, made on
     first use, while the second runs on the caller; without, they run in
-    turn on the caller. The halves must write disjoint arrays.
+    turn on the caller. The halves must write disjoint arrays; each borrows
+    the scratch buffer of the thread it runs on.
     """
     global _worker
     if not lanes:
@@ -310,8 +343,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine layer ``x @ w + b`` over (N, in) rows as one node.
 
-    Backward sends ``g @ w.T`` to ``x``, ``x.T @ g`` to ``w`` through its
-    scratch buffer, and the column sums of ``g`` to ``b``.
+    Backward sends ``g @ w.T`` to ``x``, ``x.T @ g`` to ``w`` through the
+    thread's scratch buffer, and the column sums of ``g`` to ``b``.
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear: (N, in) rows, (in, out) weight and (out,) bias "
@@ -395,15 +428,15 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
     ``reps``, buckets below the table's rows and a weight of pair-row width,
     so nothing here checks them.
     ``x`` never exists whole. The forward writes it a block of whole target
-    groups at a time, about ``PAIR_BLOCK_ROWS`` rows, into the scratch
-    buffer ``w`` keeps, and runs that block's GEMM into its rows of the
+    groups at a time, about ``PAIR_BLOCK_ROWS`` rows, into the caller's
+    scratch buffer, and runs that block's GEMM into its rows of the
     output. When the blocks are large enough, each of two lanes does half
-    of them in a buffer block of its own. The blocks hold equal target
-    counts, give or take one, so none is a 1- or 2-row product unless the
-    whole matrix is: BLAS rounds those through other kernels. Every row
-    then has the bits of ``linear`` on the materialized matrix wherever
-    BLAS takes the same kernel for a block as for the whole, as OpenBLAS
-    does at the reference width.
+    of them in a block of its own, both cut from the caller's buffer.
+    The blocks hold equal target counts, give or take one, so none is a
+    1- or 2-row product unless the whole matrix is: BLAS rounds those
+    through other kernels. Every row then has the bits of ``linear`` on
+    the materialized matrix wherever BLAS takes the same kernel for a
+    block as for the whole, as OpenBLAS does at the reference width.
 
     Backward never forms a (kt * ko, .) gradient. With ``w`` split into
     its target, opinion and distance blocks W_t, W_o, W_d and ``g`` viewed
@@ -428,7 +461,7 @@ def pair_linear(reps: Tensor, targets: Sequence[int], opinions: Sequence[int],
     block_rows = math.ceil(kt / blocks) * ko
     lanes = blocks > 1 and _lanes_pay(block_rows * width * w.shape[1])
     # One block per lane, sized here: a buffer grown inside a lane would race.
-    scratch = w._scratch_buffer((1 + lanes) * block_rows, width)
+    scratch = _scratch((1 + lanes) * block_rows, width)
     opinion_rows = reps.data[o_idx]
 
     def fill(bounds: list[int], rows: np.ndarray) -> None:
@@ -594,6 +627,8 @@ def _lstm_backward(g: np.ndarray, xs: np.ndarray, saved: tuple[np.ndarray, ...],
         dc = dh * dc_from_dh[t] + dc_next
         np.multiply(by_dc[t], dc, out=d_pre[t, :3])
         np.multiply(by_dh[t], dh, out=d_pre[t, 3])
+        if t == 0:
+            break  # nothing reads the gradient of the zero initial state
         dc_next = dc * f[t]
         dh_next = w_hh.data @ d_pre[t].reshape(-1)
     d_pre = d_pre.reshape(n, 4 * hidden)
@@ -771,9 +806,9 @@ class AdamW:
     """Adam with decoupled weight decay, updating every parameter in place.
 
     Each parameter is updated in blocks of about ``BLOCK`` entries along its
-    first axis, with two scratch blocks the optimizer owns, so a step
-    allocates no array memory and each block's gradient is zeroed while
-    still in cache.
+    first axis, with two temporary blocks borrowed from the thread's scratch
+    buffer, so a step allocates no array memory once that buffer is grown
+    and each block's gradient is zeroed while still in cache.
     Basic slices are views for any memory layout, so every update lands.
     """
 
@@ -791,7 +826,7 @@ class AdamW:
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
         # A row wider than BLOCK is a block of its own.
         widest = max((math.prod(p.shape[1:]) for p in self.params), default=0)
-        self._scratch = np.empty((2, max(self.BLOCK, widest)))
+        self._block_size = max(self.BLOCK, widest)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -808,12 +843,13 @@ class AdamW:
         b1, b2 = self.BETAS
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
+        temporaries = _scratch(2, self._block_size)
         for p, m_all, v_all in zip(self.params, self.first_moment, self.second_moment):
             arrays = [np.atleast_1d(a) for a in (p.data, p.grad, m_all, v_all)]
             per_block = max(1, self.BLOCK // max(1, math.prod(arrays[0].shape[1:])))
             for start in range(0, len(arrays[0]), per_block):
                 w, g, m, v = (a[start:start + per_block] for a in arrays)
-                t, u = (s[:g.size].reshape(g.shape) for s in self._scratch)
+                t, u = (s[:g.size].reshape(g.shape) for s in temporaries)
                 # m, v and u exactly as m = b1*m + (1-b1)*g,
                 # v = b2*v + (1-b2)*g*g, u = (m/bias1) / (sqrt(v/bias2) + eps).
                 m *= b1

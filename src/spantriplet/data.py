@@ -77,6 +77,10 @@ def _indices_to_span(indices, what: str, n_tokens: int, line: int, column: int) 
     return (ordered[0], ordered[-1])
 
 
+# Characters of a malformed triplet literal that its error message quotes.
+QUOTE_WIDTH = 60
+
+
 def parse_dataset_line(raw: str, sentence_id: int = 0, line: int = 1) -> Sentence:
     """Parse one corpus line; ParseError carries the line and column."""
     raw = raw.rstrip("\n")
@@ -92,7 +96,9 @@ def parse_dataset_line(raw: str, sentence_id: int = 0, line: int = 1) -> Sentenc
     # TypeError: an unhashable set item or key; the last two: nesting too deep to parse.
     except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError) as exc:
         offset = getattr(exc, "offset", None) or 1
-        raise ParseError(f"malformed triplet literal: {literal.strip()!r}",
+        shown = literal.strip()
+        quoted = repr(shown) if len(shown) <= QUOTE_WIDTH else f"{shown[:QUOTE_WIDTH]!r}..."
+        raise ParseError(f"malformed triplet literal: {quoted}",
                          line, column=literal_col + offset - 1) from exc
     if not isinstance(parsed, list):
         raise ParseError("triplet annotation must be a list", line, column=literal_col)
@@ -151,6 +157,25 @@ def load_embedding_file(path: str) -> tuple[dict[str, np.ndarray], int]:
     return _parse_file(path, _parse_embedding_lines)
 
 
+def _plain_ascii(value: str) -> bool:
+    """Whether ``value`` is ASCII without "_"; ``float`` also reads "1_0" and "١٢"."""
+    return value.isascii() and "_" not in value
+
+
+def _plain_number(value: str) -> bool:
+    """Whether ``value`` is a plain ASCII decimal number."""
+    try:
+        float(value)
+    except ValueError:
+        return False
+    return _plain_ascii(value)
+
+
+def _field_column(raw: str, field: int) -> int:
+    """1-based column of the ``field``-th (from 0) whitespace-separated field of ``raw``."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", raw)][field]
+
+
 def _parse_embedding_lines(lines: Iterable[tuple[int, str]]) -> tuple[dict[str, np.ndarray], int]:
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -160,16 +185,17 @@ def _parse_embedding_lines(lines: Iterable[tuple[int, str]]) -> tuple[dict[str, 
             raise ParseError("embedding line needs a token and at least one value", lineno)
         token = parts[0]
         try:
-            if not all(v.isascii() and "_" not in v for v in parts[1:]):  # float takes "1_0"
+            if not all(map(_plain_ascii, parts[1:])):
                 raise ValueError
             vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError:
+            bad = next(i for i, v in enumerate(parts[1:], 1) if not _plain_number(v))
             raise ParseError(f"non-numeric embedding value for token {token!r}",
-                             lineno, column=len(token) + 2)
+                             lineno, column=_field_column(raw, bad))
         if not np.isfinite(vec).all():
             bad = 1 + int(np.argmin(np.isfinite(vec)))
-            column = [m.start() + 1 for m in re.finditer(r"\S+", raw)][bad]
-            raise ParseError(f"non-finite embedding value {parts[bad]!r}", lineno, column)
+            raise ParseError(f"non-finite embedding value {parts[bad]!r}",
+                             lineno, column=_field_column(raw, bad))
         if dim is None:
             dim = vec.size
         elif vec.size != dim:

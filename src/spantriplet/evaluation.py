@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .autodiff import no_grad
 from .data import Sentence
 from .encoder import Span, span_width
 from .errors import ConfigurationError, DataError
@@ -184,11 +185,12 @@ class CorpusPass:
 
 
 def corpus_pass(model: SpanModel, sentences: Sequence[Sentence]) -> CorpusPass:
-    """Run one no-dropout forward per sentence and keep what scoring reads."""
+    """Run one no-dropout, no-graph forward per sentence and keep what scoring reads."""
     dual = model.config.channel_mode == "dual"
     result = CorpusPass(sentences, {}, {kind: {} for kind in MENTION_KINDS} if dual else {}, [])
     for sentence in sentences:
-        output = model.forward(sentence.tokens)
+        with no_grad():
+            output = model.forward(sentence.tokens)
         result.predictions[sentence.id] = decode_triplets(output.pair_spans,
                                                           output.relation_probs)
         if dual:
@@ -196,7 +198,7 @@ def corpus_pass(model: SpanModel, sentences: Sequence[Sentence]) -> CorpusPass:
                 result.typed[kind][sentence.id] = output.argmax_spans(label)
         result.pools.append(([c.span for c in output.target_pool],
                              [c.span for c in output.opinion_pool]))
-        # Free this sentence's graph before the next forward builds one.
+        # Free this sentence's arrays before the next forward makes its own.
         del output
     return result
 

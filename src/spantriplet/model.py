@@ -279,7 +279,8 @@ class SpanModel:
     # -- inference ----------------------------------------------------------
 
     def predict(self, tokens: Sequence[str]) -> list[TripletPrediction]:
-        output = self.forward(tokens)
+        with ad.no_grad():
+            output = self.forward(tokens)
         return decode_triplets(output.pair_spans, output.relation_probs)
 
     # -- persistence ----------------------------------------------------------

@@ -1,6 +1,8 @@
 import inspect
 import re
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -504,26 +506,33 @@ class TestPairLinear:
         bound = 2 * block + output + 2 ** 20
         assert bound < min(matrix, 4 * block)
         assert first < bound, (first, bound)
-        # The weight keeps the block buffer, so a second forward allocates none.
+        # The thread keeps the block buffer, so a second forward allocates none.
         assert second < block, (second, block)
 
     @pytest.mark.parametrize("ffnn_hidden", [4, 300], ids=["rows_larger", "weight_larger"])
-    def test_training_keeps_one_weight_buffer_for_rows_and_gradient(self, ffnn_hidden):
-        # Relation layer 0's weight builds its pair rows and its gradient
-        # product in the same buffer, sized for the larger of the two.
+    def test_training_keeps_one_thread_buffer_across_steps(self, ffnn_hidden):
+        # Relation layer 0 builds its pair rows and its weight's gradient
+        # product in the thread's one buffer, which the first step grows
+        # for both and a second step reuses. A fresh thread starts empty.
         fixture = make_fixture(np.random.default_rng(30), 1)
         model = SpanModel(ModelConfig(embedding_dim=4, lstm_hidden=3, ffnn_hidden=ffnn_hidden,
                                       width_dim=2, distance_dim=3),
                           Vocabulary.build(s.tokens for s in fixture), seed=0)
         optimizer = make_optimizer(model, TrainConfig())
-        w = model.relation_ffnn.weights[0]
-        train_epoch(model, fixture, optimizer, np.random.default_rng(31))
+        width = model.relation_ffnn.weights[0].shape[0]
+
+        def steps():
+            assert ad._thread.scratch.size == 0
+            train_epoch(model, fixture, optimizer, np.random.default_rng(31))
+            kept = ad._thread.scratch
+            train_epoch(model, fixture, optimizer, np.random.default_rng(32))
+            return kept, ad._thread.scratch
+
+        kept, after = in_fresh_thread(steps)
+        assert after is kept
         pairs = len(model.forward(fixture[0].tokens).pairs)
         assert 4 < pairs <= min(300, ad.PAIR_BLOCK_ROWS)  # one block holds every pair row
-        kept = w._scratch
-        assert kept.shape == (max(pairs, ffnn_hidden) * w.shape[0],)
-        train_epoch(model, fixture, optimizer, np.random.default_rng(32))
-        assert w._scratch is kept
+        assert kept.size >= max(pairs, ffnn_hidden) * width
 
 
 class TestWeightGradientsAccumulate:
@@ -597,6 +606,14 @@ def _multi_parent_ops():
 
 # Each op whose node has more than one parent, with inputs to build it from.
 MULTI_PARENT_OPS = _multi_parent_ops()
+# The inputs of each op whose gradient is a product formed in the thread's scratch.
+PRODUCT_INPUTS = {"linear": {1}, "pair_linear": {2}, "bilstm": {1, 2, 4, 5}}
+
+
+def in_fresh_thread(work):
+    """``work()`` run on a new thread, whose scratch buffer starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(work).result()
 
 
 class TestBackwardContract:
@@ -630,34 +647,64 @@ class TestBackwardContract:
         np.testing.assert_array_equal(x.grad, y.data)
 
     @pytest.mark.parametrize("op", sorted(MULTI_PARENT_OPS))
-    def test_constant_input_of_a_multi_parent_op_gets_no_grad_buffer(self, op):
+    def test_constant_input_of_a_multi_parent_op_gets_no_grad_buffer(self, op, monkeypatch):
         # Each input in turn is a constant: it gets no gradient, its backward
-        # neither allocates nor writes its scratch buffer (a constant relation
-        # weight keeps its forward's), and the other inputs' gradients keep
-        # the bits they have when that input is a Parameter too.
+        # borrows no scratch for a weight-gradient product, and the other
+        # inputs' gradients keep the bits they have when that input is a
+        # Parameter too.
         build, arrays = MULTI_PARENT_OPS[op]
         seed = np.random.default_rng(42).normal(size=build(*map(Tensor, arrays)).shape)
+        scratch, borrowed = ad._scratch, []
+
+        def recording_scratch(rows, cols):
+            borrowed.append((rows, cols))
+            return scratch(rows, cols)
+
+        monkeypatch.setattr(ad, "_scratch", recording_scratch)
 
         def backward(constant):
             inputs = [Tensor(a) if i == constant else Parameter(a, name=f"p{i}")
                       for i, a in enumerate(arrays)]
             out = build(*inputs)
-            if constant is not None:
-                scratch = inputs[constant]._scratch
-                kept = None if scratch is None else scratch.tobytes()
+            borrowed.clear()
             out.backward(seed=seed)
-            if constant is not None:
-                assert inputs[constant]._scratch is scratch
-                assert kept == (None if scratch is None else scratch.tobytes())
-            return inputs
+            return inputs, sorted(borrowed)
 
-        every_grad = [t.grad for t in backward(None)]
+        all_inputs, every_borrow = backward(None)
+        every_grad = [t.grad for t in all_inputs]
         for constant in range(len(arrays)):
-            inputs = backward(constant)
+            inputs, borrows = backward(constant)
+            products = every_borrow.copy()
+            if constant in PRODUCT_INPUTS.get(op, ()):
+                products.remove(arrays[constant].shape)
+            assert borrows == products, constant
             assert inputs[constant].grad is None
             for i, (t, reference) in enumerate(zip(inputs, every_grad)):
                 if i != constant:
                     assert t.grad.tobytes() == reference.tobytes(), (constant, i)
+
+    def test_worker_lane_borrows_a_buffer_of_its_own(self, monkeypatch):
+        # With the lanes on, each LSTM direction's weight-gradient products
+        # go through the buffer of the thread that runs that direction.
+        monkeypatch.setattr(ad, "_lanes_pay", lambda muladds: True)
+        monkeypatch.setattr(ad, "_worker", None)
+        scratch, borrowed = ad._scratch, []
+
+        def recording_scratch(rows, cols):
+            view = scratch(rows, cols)
+            borrowed.append((threading.get_ident(), view))
+            return view
+
+        monkeypatch.setattr(ad, "_scratch", recording_scratch)
+        build, arrays = MULTI_PARENT_OPS["bilstm"]
+        out = build(*(Parameter(a, name=f"p{i}") for i, a in enumerate(arrays)))
+        out.backward(seed=np.ones(out.shape))
+        ad._worker.shutdown()
+        caller = [view for ident, view in borrowed if ident == threading.get_ident()]
+        worker = [view for ident, view in borrowed if ident != threading.get_ident()]
+        assert len(caller) == len(worker) == 2  # w_ih and w_hh of one direction each
+        assert len({ident for ident, _ in borrowed}) == 2
+        assert not any(np.shares_memory(a, b) for a in caller for b in worker)
 
     def test_fully_detached_graph_is_a_no_op(self):
         x = Tensor([1.0])

@@ -738,7 +738,7 @@ class TestBadInput:
         with open(bad, "w") as handle:
             if flag == "--embeddings":
                 handle.write("the 1 2 3 4 5 6\nfood 1 x 3 4 5 6\n")
-                message = "line 2, column 6: non-numeric embedding value for token 'food'"
+                message = "line 2, column 8: non-numeric embedding value for token 'food'"
             else:
                 handle.write("fine line####[]\nbroken line without separator\n")
                 message = "line 2, column 30: missing '####' separator"
@@ -824,10 +824,24 @@ class TestBadInput:
             f"error: {bad}: line 1, column 23: malformed triplet literal: {literal!r}"]
         assert captured.out == "" and not out.exists()
 
+    def test_long_malformed_literal_prints_a_short_error_line(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # A literal nested too deep to parse, 100,000 characters long; a
+        # relative path keeps the line's length free of the temp directory's.
+        monkeypatch.chdir(tmp_path)
+        bad = "bad.txt"
+        (tmp_path / bad).write_text("the food was great####" + "-" * 100000 + "1\n")
+        assert main(["stats", bad]) == 2
+        captured = capsys.readouterr()
+        lines = error_lines(captured.err)
+        assert len(lines) == 1 and len(lines[0]) < 200, [len(line) for line in lines]
+        assert lines[0].startswith(f"error: {bad}: line 1, column 23: malformed triplet literal: ")
+        assert lines[0].endswith("...") and captured.out == ""
+
     @pytest.mark.parametrize("text, line, column, token", [
         ("the 1_0 2 3 4 5 6\n", 1, 5, "the"),
         ("the 1 2 3 4 5 6\nfood ١٢ 2 3 4 5 6\n", 2, 6, "food"),
-        ("the 1 2 3 4 5 6\nfood 1 ３ 3 4 5 6\n", 2, 6, "food"),
+        ("the 1 2 3 4 5 6\nfood 1 ３ 3 4 5 6\n", 2, 8, "food"),
     ], ids=["underscore", "arabic_indic_digits", "fullwidth_digit"])
     def test_embedding_value_that_is_not_plain_ascii_decimal_exits_2(
             self, tmp_path, corpus_path, capsys, text, line, column, token):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantriplet import data as dataio
-from spantriplet.data import (GoldTriplet, Sentence, dataset_stats, make_fixture,
+from spantriplet.data import (QUOTE_WIDTH, GoldTriplet, Sentence, dataset_stats, make_fixture,
                               parse_dataset_line, serialize_sentence)
 from spantriplet.autodiff import Parameter
 from spantriplet.cli import main
@@ -72,6 +72,14 @@ class TestParse:
         with pytest.raises(ParseError, match="malformed triplet literal") as err:
             parse_dataset_line(f"a b c####{literal}", line=4)
         assert (err.value.line, err.value.column) == (4, len("a b c####") + 1)
+
+    @pytest.mark.parametrize("width", [QUOTE_WIDTH, QUOTE_WIDTH + 1])
+    def test_malformed_literal_is_quoted_up_to_a_fixed_width(self, width):
+        literal = "[" * width
+        with pytest.raises(ParseError) as err:
+            parse_dataset_line(f"a b c####{literal}")
+        quoted = repr(literal) if width == QUOTE_WIDTH else f"{literal[:QUOTE_WIDTH]!r}..."
+        assert str(err.value).endswith(f"malformed triplet literal: {quoted}")
 
     def test_sentence_without_tokens(self):
         with pytest.raises(ParseError, match="no tokens"):

@@ -67,7 +67,7 @@ class TestEmbeddingFile:
 
     @pytest.mark.parametrize("text, message", [
         ("the 0.1 0.2\nbad 0.1 oops\n",
-         "line 2, column 5: non-numeric embedding value for token 'bad'"),
+         "line 2, column 9: non-numeric embedding value for token 'bad'"),
         ("\n", "line 1, column 1: embedding file is empty"),
     ], ids=["non_numeric", "empty"])
     def test_parse_error_names_the_file(self, tmp_path, text, message):
